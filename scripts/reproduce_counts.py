@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Recompute every published number and drop the artifacts in one directory.
 
-Writes counts.csv (product formula vs materialized enumeration),
-class_table.csv, the code lists for small n, and the brute-force oracle
-reports.  Everything is deterministic, so rerunning overwrites the files
-with identical bytes.
+Writes counts.csv (streamed enumeration vs closed form vs the per-tree
+product formula), class_table.csv, the code lists for small n, and the
+brute-force oracle reports.  Everything is deterministic, so rerunning
+overwrites the files with identical bytes.
 """
 
 from __future__ import annotations
@@ -19,9 +19,8 @@ from pathlib import Path
 
 from diskflows.codec import serialize_code
 from diskflows.enumeration import (
-    codes_to_text,
     count_flows,
-    enumerate_flows,
+    iter_flows,
     table_rows,
     table_to_csv,
 )
@@ -34,7 +33,6 @@ class Job:
     max_n: int
     list_max_n: int
     oracle_max_n: int
-    workers: int | None
 
 
 def parse_args(argv: list[str]) -> Job:
@@ -57,34 +55,34 @@ def parse_args(argv: list[str]) -> Job:
         default=DEFAULT_BOUND,
         help="largest n cross-checked by the brute-force oracle",
     )
-    parser.add_argument(
-        "--workers", type=int, default=None, help="enumeration worker count"
-    )
     args = parser.parse_args(argv)
     return Job(
         out_dir=args.out,
         max_n=args.max_n,
         list_max_n=args.list_max_n,
         oracle_max_n=args.oracle_max_n,
-        workers=args.workers,
     )
 
 
 def write_counts(job: Job) -> None:
     path = job.out_dir / "counts.csv"
+    product_sums = [0] * (job.max_n + 1)
+    for row in table_rows(job.max_n):
+        product_sums[row.n] += row.total
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["n", "count", "materialized", "seconds"])
+        writer.writerow(["n", "count", "streamed", "product_sum", "seconds"])
         for n in range(job.max_n + 1):
             started = time.perf_counter()
-            codes = enumerate_flows(n, workers=job.workers)
+            streamed = sum(1 for _ in iter_flows(n))
             elapsed = time.perf_counter() - started
             count = count_flows(n)
-            if len(codes) != count:
+            if not streamed == count == product_sums[n]:
                 raise SystemExit(
-                    f"count mismatch at n={n}: {len(codes)} != {count}"
+                    f"count mismatch at n={n}: streamed {streamed},"
+                    f" closed form {count}, product sum {product_sums[n]}"
                 )
-            writer.writerow([n, count, len(codes), f"{elapsed:.3f}"])
+            writer.writerow([n, count, streamed, product_sums[n], f"{elapsed:.3f}"])
             print(f"n={n}: {count} classes ({elapsed:.3f}s)")
     print(f"wrote {path}")
 
@@ -98,7 +96,9 @@ def write_class_table(job: Job) -> None:
 def write_code_lists(job: Job) -> None:
     for n in range(job.list_max_n + 1):
         path = job.out_dir / f"codes_n{n}.txt"
-        path.write_text(codes_to_text(enumerate_flows(n, workers=job.workers)))
+        with path.open("w") as handle:
+            for code in iter_flows(n):
+                handle.write(serialize_code(code) + "\n")
         print(f"wrote {path}")
 
 

@@ -35,6 +35,7 @@ from .enumeration import (
     count_flows,
     enumerate_flows,
     flows_per_tree,
+    iter_flows,
     plane_trees,
     table_rows,
     table_to_csv,
@@ -102,6 +103,7 @@ __all__ = [
     "graph_from_json",
     "graph_to_code",
     "graph_to_json",
+    "iter_flows",
     "parse_code",
     "plane_trees",
     "serialize_code",

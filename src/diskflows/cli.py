@@ -9,6 +9,8 @@ not realizable.  Usage and IO problems exit 1 everywhere.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import sys
 
@@ -27,7 +29,8 @@ from .codec import (
 from .enumeration import (
     codes_to_text,
     count_flows,
-    enumerate_flows,
+    enumerate_flows,  # not called here; kept for the tracer in bench/layers.py
+    iter_flows,
     table_rows,
     table_to_csv,
 )
@@ -39,8 +42,16 @@ EXIT_USAGE = 1
 EXIT_INADMISSIBLE = 2
 EXIT_UNREALIZABLE = 3
 
-#: Safety cap on enumeration size; 4**n candidates lurk behind some paths.
+#: Safety cap on n for listing codes and building the table.
 DEFAULT_CAP = 10
+
+#: Largest n for ``enum --count-only``.  The count is a closed form, cheap
+#: for any n, but its decimal text (fewer than n digits) must stay under
+#: Python's default limit of 4300 digits for converting an int to text.
+COUNT_MAX_N = 4000
+
+#: Codes serialized and written per step of ``enum``.
+ENUM_CHUNK = 4096
 
 
 class _UsageError(Exception):
@@ -57,12 +68,19 @@ def _fail(message: str) -> int:
     return EXIT_USAGE
 
 
-def _write_or_print(text: str, path: str | None) -> None:
+@contextlib.contextmanager
+def _output(path: str | None):
+    """The file at ``path``, or stdout when it is None."""
     if path is None:
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
+
+
+def _write_or_print(text: str, path: str | None) -> None:
+    with _output(path) as fh:
+        fh.write(text)
 
 
 def _parse_arg_code(text: str) -> Code:
@@ -135,11 +153,16 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_enum(args) -> int:
-    _check_n(args.n, args.cap)
     if args.count_only:
+        if not 0 <= args.n <= COUNT_MAX_N:
+            raise _UsageError(f"--count-only takes n from 0 up to {COUNT_MAX_N}")
         _write_or_print(f"{count_flows(args.n)}\n", args.out)
-    else:
-        _write_or_print(codes_to_text(enumerate_flows(args.n)), args.out)
+        return EXIT_OK
+    _check_n(args.n, args.cap)
+    flows = iter_flows(args.n)
+    with _output(args.out) as fh:
+        while chunk := list(itertools.islice(flows, ENUM_CHUNK)):
+            fh.write(codes_to_text(chunk))
     return EXIT_OK
 
 

@@ -4,25 +4,35 @@ A level-order up-degree sequence describes a plane rooted tree exactly
 when its values sum to one less than its length and every prefix of k
 values sums to at least k.  Trees are generated directly in that form.
 Decorating a tree is independent cell by cell: each vertex with k
-children contributes a factor (k+1)(k+2)/2, so class counts come from a
-product formula while the codes themselves come from composing the
-per-cell configurations down the tree.
+children contributes a factor (k+1)(k+2)/2, so the classes over one tree
+are counted by a product formula.  Summed over all trees, the count has
+the closed form C(4n+2, n)/(n+1): the weights (k+1)(k+2)/2 give the
+generating function T = (1 - xT)^-3, and Lagrange inversion extracts its
+coefficients (Flajolet & Sedgewick, *Analytic Combinatorics*, I.5).
+:func:`count_flows` uses the closed form; the product formula, which the
+counting table still reports per tree, cross-checks it.
 
-Setting the environment variable DISKFLOWS_WORKERS (or the ``workers``
-argument) spreads code generation over processes; results are sorted
-afterwards, so the output never depends on it.
+:func:`iter_flows` lists the codes in sorted order by walking tokens, not
+trees, so codes over different trees interleave as sorting demands.  It
+is a lexicographic generator without dead ends (Ruskey, *Combinatorial
+Generation*): O(n) state and amortized constant work per step.
 """
 
 from __future__ import annotations
 
-import os
+import math
+from collections.abc import Iterator
 from dataclasses import dataclass
-from multiprocessing import get_context
+from functools import lru_cache
 
 from .codec import Code, cached_token, serialize_code
-from .model import PlaneRootedTree, RED, cell_config_count, enumerate_cell_configs
-
-WORKERS_ENV = "DISKFLOWS_WORKERS"
+from .model import (
+    BLACK,
+    RED,
+    PlaneRootedTree,
+    cell_config_count,
+    enumerate_cell_configs,
+)
 
 
 # ======================================================================
@@ -91,70 +101,100 @@ def flows_per_tree(tree: PlaneRootedTree) -> int:
     return total
 
 
-def _codes_for_tree(up_degrees: tuple[int, ...]) -> list[Code]:
-    """All codes over one plane tree, by depth-first composition of the
-    per-cell configurations in level order."""
-    tree = PlaneRootedTree.from_up_degrees(up_degrees)
-    v_count = tree.vertex_count
-    colors = [1] * v_count
-    primes = [False] * v_count
-    out: list[Code] = []
-
-    def rec(v: int) -> None:
-        if v == v_count:
-            out.append(
-                Code(
-                    tuple(
-                        cached_token(up_degrees[i], colors[i] == RED, primes[i])
-                        for i in range(v_count)
-                    )
-                )
-            )
-            return
-        kids = tree.children[v]
-        for dec in enumerate_cell_configs(len(kids), colors[v]):
-            for j, c in enumerate(kids):
-                colors[c] = dec.child_colors[j]
-                primes[c] = dec.child_primes[j]
-            rec(v + 1)
-
-    rec(0)
-    return out
+# A node of a cell trie: the decorations the next child may take, each as
+# [overline, prime, color, node for the children after it].  The root cell
+# has one fixed "decoration": no marks and the boundary direction.
+_ROOT_NODE = [[False, False, BLACK, []]]
 
 
-def _resolve_workers(workers: int | None) -> int:
-    if workers is None:
-        raw = os.environ.get(WORKERS_ENV, "")
-        try:
-            workers = int(raw) if raw else 1
-        except ValueError:
-            workers = 1
-    return max(1, workers)
+@lru_cache(maxsize=None)
+def _cell_trie(k: int, color: int) -> list:
+    """The child decorations a cell with k inner loops forces, as a trie
+    in token order; ``color`` is the color of the cell's own vertex.  The
+    trie is shared between calls and never modified."""
+    root: list = []
+    for seq in sorted(
+        tuple(zip([c == RED for c in dec.child_colors], dec.child_primes))
+        for dec in enumerate_cell_configs(k, color)
+    ):
+        node = root
+        for overline, prime in seq:
+            if not node or node[-1][:2] != [overline, prime]:
+                node.append([overline, prime, RED if overline else BLACK, []])
+            node = node[-1][3]
+    return root
 
 
-def enumerate_flows(n: int, workers: int | None = None) -> list[Code]:
+def iter_flows(n: int) -> Iterator[Code]:
+    """All realizable codes with n separatrices in sorted order, one at a
+    time, with O(n) state.
+
+    Codes compare token by token as (value, overline, prime), so position
+    i runs through its values in ascending order and, for each value,
+    through the decorations its parent cell still allows.  The parent and
+    its block size are already fixed, since parents come first in level
+    order.  Every prefix extends to a code: value i < n ranges over
+    [max(0, i+1-placed), n-placed], the last value is 0 and every trie
+    node is non-empty.  So the walk meets no dead ends.
+    """
+    if n < 0:
+        raise ValueError("separatrix count is non-negative")
+    values = [0] * (n + 1)
+    placed = [0] * (n + 2)  # placed[i]: sum of the values before position i
+    parents = [0] * (n + 1)
+    nodes = [_ROOT_NODE] * (n + 1)  # decorations open at each position
+    picks = [0] * (n + 1)  # index of the chosen decoration in nodes[i]
+    tokens = [cached_token(0)] * (n + 1)
+    start = 0
+    while True:
+        # Positions start..n take their least tokens.
+        for i in range(start, n + 1):
+            values[i] = max(0, i + 1 - placed[i]) if i < n else 0
+            placed[i + 1] = placed[i] + values[i]
+            picks[i] = 0
+            if i:
+                p = parents[i - 1]
+                while placed[p] + values[p] < i:
+                    p += 1
+                parents[i] = p
+                if i == placed[p] + 1:
+                    nodes[i] = _cell_trie(values[p], nodes[p][picks[p]][2])
+                else:
+                    nodes[i] = nodes[i - 1][picks[i - 1]][3]
+            overline, prime = nodes[i][0][:2]
+            tokens[i] = cached_token(values[i], overline, prime)
+        yield Code(tuple(tokens))
+        # Advance the rightmost position that has a larger token left.
+        i = n
+        while picks[i] + 1 == len(nodes[i]) and values[i] == n - placed[i]:
+            if i == 0:
+                return
+            i -= 1
+        if picks[i] + 1 < len(nodes[i]):
+            picks[i] += 1
+        else:
+            values[i] += 1
+            placed[i + 1] += 1
+            picks[i] = 0
+        overline, prime = nodes[i][picks[i]][:2]
+        tokens[i] = cached_token(values[i], overline, prime)
+        start = i + 1
+
+
+def enumerate_flows(n: int) -> list[Code]:
     """All realizable codes with n separatrices, sorted token-wise."""
-    if n < 0:
-        raise ValueError("separatrix count is non-negative")
-    seqs = list(_up_degree_sequences(n))
-    workers = _resolve_workers(workers)
-    if workers > 1 and len(seqs) > 1:
-        with get_context().Pool(processes=min(workers, len(seqs))) as pool:
-            chunks = pool.map(_codes_for_tree, seqs)
-    else:
-        chunks = [_codes_for_tree(s) for s in seqs]
-    codes = [code for chunk in chunks for code in chunk]
-    codes.sort()
-    return codes
+    return list(iter_flows(n))
 
 
-def count_flows(n: int, workers: int | None = None) -> int:
-    """Number of flow classes with n separatrices, without materializing
-    the codes."""
-    del workers  # counting is a cheap product formula either way
+def count_flows(n: int) -> int:
+    """Number of flow classes with n separatrices: C(4n+2, n)/(n+1).
+
+    Summing :func:`flows_per_tree` over :func:`plane_trees` gives the
+    same number and serves as its independent cross-check.
+    """
     if n < 0:
         raise ValueError("separatrix count is non-negative")
-    return sum(flows_per_tree(t) for t in plane_trees(n))
+    return math.comb(4 * n + 2, n) // (n + 1)
 
 
 # ======================================================================

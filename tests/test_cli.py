@@ -3,18 +3,22 @@
 from __future__ import annotations
 
 import json
+import math
 import subprocess
 import sys
 
 import pytest
 
 from diskflows.cli import (
+    COUNT_MAX_N,
+    ENUM_CHUNK,
     EXIT_INADMISSIBLE,
     EXIT_OK,
     EXIT_UNREALIZABLE,
     EXIT_USAGE,
     main,
 )
+from diskflows.enumeration import codes_to_text, enumerate_flows
 
 
 def run(capsys, *argv: str):
@@ -130,6 +134,28 @@ def test_enum_count_only(capsys):
     rc, out, _ = run(capsys, "enum", "--n", "3", "--count-only")
     assert rc == 0
     assert out == "91\n"
+
+
+def test_enum_count_only_ignores_the_listing_cap(capsys):
+    rc, out, _ = run(capsys, "enum", "--n", "500", "--count-only")
+    assert rc == 0
+    assert out == f"{math.comb(2002, 500) // 501}\n"
+
+
+def test_enum_count_only_bounds_the_digits(capsys):
+    rc, out, _ = run(capsys, "enum", "--n", str(COUNT_MAX_N), "--count-only")
+    assert rc == 0
+    assert len(out) <= 4301
+    rc, _, err = run(capsys, "enum", "--n", str(COUNT_MAX_N + 1), "--count-only")
+    assert rc == 1
+    assert f"up to {COUNT_MAX_N}" in err
+
+
+def test_enum_streams_to_stdout_across_chunks(capsys):
+    rc, out, _ = run(capsys, "enum", "--n", "5")
+    assert rc == 0
+    assert out == codes_to_text(enumerate_flows(5))
+    assert len(out.splitlines()) == 4389 > ENUM_CHUNK
 
 
 def test_enum_writes_file(tmp_path, capsys):

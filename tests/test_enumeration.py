@@ -2,26 +2,27 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
-import os
 from collections import deque
 
 import pytest
 
-from diskflows.codec import check_realizable, serialize_code
+from diskflows.cli import main
+from diskflows.codec import check_realizable, graph_to_code, serialize_code
 from diskflows.enumeration import (
     CSV_HEADER,
-    WORKERS_ENV,
     abstract_classes,
     codes_to_text,
     count_flows,
     enumerate_flows,
     flows_per_tree,
+    iter_flows,
     plane_trees,
     table_rows,
     table_to_csv,
 )
-from diskflows.model import PlaneRootedTree
+from diskflows.model import DistinguishedGraph, PlaneRootedTree, enumerate_cell_configs
 
 
 def catalan(n: int) -> int:
@@ -37,6 +38,24 @@ def compose_trees(n: int):
         for first in compose_trees(k - 1):
             for rest in compose_trees(n - k):
                 yield (first,) + rest
+
+
+def per_tree_codes(n: int):
+    """Independent enumeration: every plane tree decorated cell by cell in
+    level order, unsorted."""
+    for tree in plane_trees(n):
+        partial = [([1] * (n + 1), [False] * (n + 1))]
+        for v, kids in enumerate(tree.children):
+            grown = []
+            for colors, primes in partial:
+                for dec in enumerate_cell_configs(len(kids), colors[v]):
+                    c, p = colors[:], primes[:]
+                    for child, color, prime in zip(kids, dec.child_colors, dec.child_primes):
+                        c[child], p[child] = color, prime
+                    grown.append((c, p))
+            partial = grown
+        for colors, primes in partial:
+            yield graph_to_code(DistinguishedGraph(tree, colors, primes))
 
 
 def level_order_degrees(nested) -> tuple[int, ...]:
@@ -146,6 +165,11 @@ def test_count_flows_larger_totals_match_materialized_enumeration():
     assert len(enumerate_flows(6)) == 32890
 
 
+def test_count_flows_closed_form_matches_product_sum():
+    for n in range(11):
+        assert count_flows(n) == sum(flows_per_tree(t) for t in plane_trees(n))
+
+
 def test_count_flows_rejects_negative():
     with pytest.raises(ValueError):
         count_flows(-1)
@@ -194,15 +218,23 @@ def test_enumeration_sorted_distinct_realizable(n):
         assert check_realizable(code).realizable
 
 
-def test_worker_pool_output_is_byte_identical():
-    serial = enumerate_flows(3, workers=1)
-    pooled = enumerate_flows(3, workers=2)
-    assert pooled == serial
-    os.environ[WORKERS_ENV] = "2"
-    try:
-        assert enumerate_flows(3) == serial
-    finally:
-        del os.environ[WORKERS_ENV]
+def test_iter_flows_is_sorted_per_tree_enumeration():
+    for n in range(7):
+        codes = enumerate_flows(n)
+        assert list(iter_flows(n)) == codes == sorted(codes)
+        assert codes == sorted(per_tree_codes(n))
+
+
+def test_streamed_enum_text_at_seven_loops_is_unchanged(tmp_path):
+    target = tmp_path / "codes.txt"
+    assert main(["enum", "--n", "7", "--out", str(target)]) == 0
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == (
+        "6ce2b06c34d0b59bdc9f32f503ec3d75257f54c5ccdd18a783f91bfe31ec1940"
+    )
+
+
+def test_iter_flows_starts_at_the_path_without_recursion():
+    assert serialize_code(next(iter_flows(1000))) == "1" * 1000 + "0"
 
 
 def test_codes_to_text_one_line_per_code():
