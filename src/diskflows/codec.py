@@ -25,6 +25,12 @@ Admissibility is necessary but not sufficient: a code is *realizable*
 (comes from an actual flow) exactly when, in addition, no cell of the
 decoded tree has a boundary with two or more source corners.  See
 :func:`check_realizable`, which is the authoritative test.
+
+Both checks are one linear scan of the tokens in level order: the
+values are summed once, the prefix sums stop at the last token, and each
+cell's source corners are counted from the marks of its own token and
+its block of children.  No tree is built, and the cost depends on the
+length of the code, never on the size of its values.
 """
 
 from __future__ import annotations
@@ -32,17 +38,15 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import lt
 
 from .model import (
     BLACK,
     RED,
     ROOT_LOWER_DIRECTION,
-    CellKind,
     DistinguishedGraph,
     PlaneRootedTree,
-    boundary_directions,
-    classify_cell,
-    source_corner_count,
+    classify_cell,  # not called here; kept for the tracer in bench/layers.py
 )
 
 MAX_TOKEN_VALUE = 2**32 - 1
@@ -185,120 +189,112 @@ class ValidationReport:
     detail: str = ""
 
 
-def _check_length(code: Code) -> PropertyCheck:
-    n = code.n
-    count = len(code.tokens)
-    if count == n + 1:
-        return PropertyCheck(True)
-    if count > n + 1:
-        return PropertyCheck(
-            False, n + 1, f"{count} tokens but the values sum to {n}, expected {n + 1}"
-        )
-    return PropertyCheck(
-        False, None, f"{count} tokens but the values sum to {n}, expected {n + 1}"
-    )
+_PASS = PropertyCheck(True)
+_NOT_EVALUATED = PropertyCheck(True, None, "not evaluated: values do not form a tree")
 
 
-def _check_first_marks(code: Code) -> PropertyCheck:
-    t = code.tokens[0]
-    if t.overline or t.prime:
-        return PropertyCheck(False, 0, "the first token carries a mark")
-    return PropertyCheck(True)
+def _scan(code: Code):
+    """The one validation pass over the tokens in level order.
 
-
-def _check_prefix_sums(code: Code) -> PropertyCheck:
-    values = [t.value for t in code.tokens]
+    Returns the four property checks of :func:`check_admissible` and the
+    first cell with two or more source corners as ``(vertex, sides,
+    sources)``, sides as booleans (True for +1), or None.  No tree is
+    built: the children of vertex v are the next ``value(v)`` tokens.
+    """
+    tokens = code.tokens
+    values = [t.value for t in tokens]
+    count = len(values)
     n = sum(values)
+
+    length = _PASS
+    if count != n + 1:
+        length = PropertyCheck(
+            False,
+            n + 1 if count > n + 1 else None,
+            f"{count} tokens but the values sum to {n}, expected {n + 1}",
+        )
+    marks = _PASS
+    if tokens[0].overline or tokens[0].prime:
+        marks = PropertyCheck(False, 0, "the first token carries a mark")
+    # Past the last token the prefix is n >= k, so the loop stops there.
+    prefixes = _PASS
     prefix = 0
-    for k in range(1, n + 1):
-        prefix += values[k - 1] if k - 1 < len(values) else 0
+    for k in range(1, min(n, count) + 1):
+        prefix += values[k - 1]
         if prefix < k:
-            idx = min(k, len(values) - 1)
-            return PropertyCheck(
-                False, idx, f"sum of the first {k} values is {prefix}, needs >= {k}"
-            )
-    return PropertyCheck(True)
-
-
-def _decodable(code: Code) -> bool:
-    return _check_length(code).passed and _check_prefix_sums(code).passed
-
-
-def _check_prime_groups(code: Code) -> PropertyCheck:
-    if not _decodable(code):
-        return PropertyCheck(True, None, "not evaluated: values do not form a tree")
-    tree = PlaneRootedTree.from_up_degrees([t.value for t in code.tokens])
-    toks = code.tokens
-    for v, kids in enumerate(tree.children):
-        primed = [c for c in kids if toks[c].prime]
-        if not primed:
-            continue
-        if len(primed) > 1:
-            return PropertyCheck(
-                False, primed[1], f"tokens {primed[0]} and {primed[1]} are both primed"
-            )
-        shared = toks[primed[0]].overline
-        for c in kids:
-            if toks[c].overline != shared:
-                return PropertyCheck(
-                    False,
-                    c,
-                    f"token {c} differs in overline from its primed sibling {primed[0]}",
-                )
-        if toks[v].overline == shared:
-            return PropertyCheck(
+            prefixes = PropertyCheck(
                 False,
-                primed[0],
-                f"token {v} must carry the opposite overline state of its children",
+                min(k, count - 1),
+                f"sum of the first {k} values is {prefix}, needs >= {k}",
             )
-    return PropertyCheck(True)
+            break
+    if not (length.passed and prefixes.passed):
+        return (length, marks, prefixes, _NOT_EVALUATED), None
+
+    # The values form a tree.  Cell v has side 0 of direction color(v)
+    # (+1 at the root) and side i of direction -color(child i), which is
+    # +1 exactly on an overlined child.  Property 4 makes every cell with
+    # a primed child coherent, so a prime never sits in a polar cell.
+    overlines = [t.overline for t in tokens]
+    primes = [t.prime for t in tokens]
+    groups = _PASS
+    bad_cell = None
+    nxt = 1
+    for v, d in enumerate(values):
+        if not d:
+            continue
+        end = nxt + d
+        kid_overlines = overlines[nxt:end]
+        if True in primes[nxt:end]:
+            primed = [c for c in range(nxt, end) if primes[c]]
+            first = primed[0]
+            shared = overlines[first]
+            if len(primed) > 1:
+                detail = f"tokens {first} and {primed[1]} are both primed"
+                groups = PropertyCheck(False, primed[1], detail)
+            elif (not shared) in kid_overlines:
+                c = nxt + kid_overlines.index(not shared)
+                detail = f"token {c} differs in overline from its primed sibling {first}"
+                groups = PropertyCheck(False, c, detail)
+            elif overlines[v] == shared:
+                detail = f"token {v} must carry the opposite overline state of its children"
+                groups = PropertyCheck(False, first, detail)
+            if not groups.passed:
+                break
+        elif bad_cell is None:
+            sides = [v == 0 or not overlines[v]] + kid_overlines
+            # A source corner is a side of direction -1 followed by +1.
+            sources = sum(map(lt, sides, sides[1:] + sides[:1]))
+            if sources > 1:
+                bad_cell = (v, sides, sources)
+        nxt = end
+    return (length, marks, prefixes, groups), bad_cell
 
 
 def check_admissible(code: Code) -> AdmissibilityReport:
     """Check the four necessary code properties."""
-    return AdmissibilityReport(
-        (
-            _check_length(code),
-            _check_first_marks(code),
-            _check_prefix_sums(code),
-            _check_prime_groups(code),
-        )
-    )
+    return AdmissibilityReport(_scan(code)[0])
 
 
 def check_realizable(code: Code) -> ValidationReport:
     """Authoritative validity test: admissible and every cell of the
     decoded tree is cyclic or polar, with primes only in cyclic cells."""
-    adm = check_admissible(code)
+    checks, bad_cell = _scan(code)
+    adm = AdmissibilityReport(checks)
     if not adm.passed:
         return ValidationReport(
             adm, False, detail="fails necessary code properties " + str(adm.failing)
         )
-    graph = code_to_graph(code)
-    parents = graph.tree.parents()
-    for v in range(graph.tree.vertex_count):
-        b = boundary_directions(graph, v)
-        if classify_cell(b) is CellKind.INVALID:
-            return ValidationReport(
-                adm,
-                False,
-                offending_vertex=v,
-                offending_boundary=b.sides,
-                detail=f"cell at vertex {v} has {source_corner_count(b)} source corners",
-            )
-    for v in range(1, graph.tree.vertex_count):
-        if graph.primes[v]:
-            p = parents[v]
-            b = boundary_directions(graph, p)
-            if classify_cell(b) is not CellKind.CYCLIC:
-                return ValidationReport(
-                    adm,
-                    False,
-                    offending_vertex=p,
-                    offending_boundary=b.sides,
-                    detail=f"prime on vertex {v} but the cell at vertex {p} is not cyclic",
-                )
-    return ValidationReport(adm, True)
+    if bad_cell is None:
+        return ValidationReport(adm, True)
+    v, sides, sources = bad_cell
+    return ValidationReport(
+        adm,
+        False,
+        offending_vertex=v,
+        offending_boundary=tuple(1 if s else -1 for s in sides),
+        detail=f"cell at vertex {v} has {sources} source corners",
+    )
 
 
 # ======================================================================
@@ -366,7 +362,11 @@ def graph_to_json(graph: DistinguishedGraph) -> dict:
 
 
 def graph_from_json(doc: dict) -> DistinguishedGraph:
-    """Rebuild a decorated tree from its plain-dict form."""
+    """Rebuild a decorated tree from its plain-dict form.
+
+    Integer fields must hold ints proper: JSON ``true`` equals 1 in
+    Python, so ``type(x) is int`` keeps booleans out.
+    """
     if not isinstance(doc, dict):
         raise ValueError("graph document must be an object")
     try:
@@ -387,12 +387,14 @@ def graph_from_json(doc: dict) -> DistinguishedGraph:
         for key in ("id", "parent", "children", "color", "prime"):
             if key not in entry:
                 raise ValueError(f"vertex {i} lacks key {key!r}")
-        if entry["id"] != i:
+        if type(entry["id"]) is not int or entry["id"] != i:
             raise ValueError(f"vertex ids must run 0..{len(vertices) - 1} in order")
         kids = entry["children"]
-        if not isinstance(kids, list) or not all(isinstance(c, int) for c in kids):
+        if not isinstance(kids, list) or not all(type(c) is int for c in kids):
             raise ValueError(f"children of vertex {i} must be a list of ids")
         children.append(tuple(kids))
+        if entry["parent"] is not None and type(entry["parent"]) is not int:
+            raise ValueError(f"parent of vertex {i} must be an id or null")
         declared_parents.append(entry["parent"])
         if i == 0:
             if entry["color"] is not None:
@@ -400,7 +402,7 @@ def graph_from_json(doc: dict) -> DistinguishedGraph:
             if entry["prime"]:
                 raise ValueError("the root carries no prime")
         else:
-            if entry["color"] not in (BLACK, RED):
+            if type(entry["color"]) is not int or entry["color"] not in (BLACK, RED):
                 raise ValueError(f"vertex {i} needs color 1 or -1")
             colors.append(entry["color"])
             primes.append(bool(entry["prime"]))
@@ -408,7 +410,7 @@ def graph_from_json(doc: dict) -> DistinguishedGraph:
     tree = PlaneRootedTree(tuple(children))
     if declared_parents != list(tree.parents()):
         raise ValueError("declared parents disagree with the child lists")
-    if declared_n != tree.separatrix_count:
+    if type(declared_n) is not int or declared_n != tree.separatrix_count:
         raise ValueError(
             f"separatrices is {declared_n}, child lists give {tree.separatrix_count}"
         )

@@ -252,13 +252,6 @@ def classify_cell(boundary: CellBoundary) -> CellKind:
     return CellKind.POLAR if sources == 1 else CellKind.INVALID
 
 
-def source_corner_count(boundary: CellBoundary) -> int:
-    corners = classify_corners(boundary)
-    if corners is COHERENT:
-        return 0
-    return sum(1 for c in corners if c is CornerType.SOURCE)
-
-
 # ======================================================================
 # cell configurations
 # ======================================================================

@@ -182,8 +182,15 @@ def diagram_to_svg(graph: DistinguishedGraph) -> str:
     if root_dot:
         lines.append(root_dot)
 
-    def emit(v: int, depth: int) -> None:
+    # Depth-first over the loops with an explicit stack: an entry with
+    # closing=True writes the end tag of v's group once its children are done.
+    stack = [(c, 1, False) for c in reversed(tree.children[0])]
+    while stack:
+        v, depth, closing = stack.pop()
         indent = "  " * (depth + 1)
+        if closing:
+            lines.append(f"{indent}</g>")
+            continue
         color = graph.colors[v]
         stroke = "#bb0000" if color == RED else "#000000"
         reversed_ = color == RED
@@ -205,12 +212,8 @@ def diagram_to_svg(graph: DistinguishedGraph) -> str:
         dot = _cell_dot(graph, v, spans, rho[v], indent + "  ")
         if dot:
             lines.append(dot)
-        for c in tree.children[v]:
-            emit(c, depth + 1)
-        lines.append(f"{indent}</g>")
-
-    for c in tree.children[0]:
-        emit(c, 1)
+        stack.append((v, depth, True))
+        stack.extend((c, depth + 1, False) for c in reversed(tree.children[v]))
 
     lines.append(
         f'  <circle class="base-point" cx="{_fmt(BASE[0])}" cy="{_fmt(BASE[1])}" '

@@ -120,6 +120,38 @@ def test_encode_rejects_bad_document(tmp_path, capsys):
     assert "error:" in err
 
 
+GRAPH_OF_10 = {
+    "separatrices": 1,
+    "vertices": [
+        {"id": 0, "parent": None, "children": [1], "color": None, "prime": False},
+        {"id": 1, "parent": 0, "children": [], "color": 1, "prime": False},
+    ],
+}
+
+# JSON true/false in place of each integer of GRAPH_OF_10 equal to it.
+BOOLEAN_FOR_INTEGER = {
+    "id": lambda d: d["vertices"][1].update(id=True),
+    "parent": lambda d: d["vertices"][1].update(parent=False),
+    "children": lambda d: d["vertices"][0].update(children=[True]),
+    "color": lambda d: d["vertices"][1].update(color=True),
+    "separatrices": lambda d: d.update(separatrices=True),
+}
+
+
+@pytest.mark.parametrize("where", sorted(BOOLEAN_FOR_INTEGER))
+def test_encode_rejects_booleans_for_integers(where, tmp_path, capsys):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(GRAPH_OF_10))
+    assert run(capsys, "encode", str(path)) == (EXIT_OK, "10\n", "")
+    doc = json.loads(json.dumps(GRAPH_OF_10))
+    BOOLEAN_FOR_INTEGER[where](doc)
+    path.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, "encode", str(path))
+    assert rc == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 # ---------------------------------------------------------------------------
 # enum
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import pytest
@@ -23,8 +24,14 @@ from diskflows.codec import (
     parse_code,
     serialize_code,
 )
-from diskflows.enumeration import enumerate_flows
-from diskflows.model import DistinguishedGraph, PlaneRootedTree
+from diskflows.enumeration import enumerate_flows, plane_trees
+from diskflows.model import (
+    BLACK,
+    RED,
+    DistinguishedGraph,
+    PlaneRootedTree,
+    enumerate_cell_configs,
+)
 
 
 def tokens_of(text: str) -> list[tuple[int, bool, bool]]:
@@ -253,6 +260,36 @@ def test_realizable_requires_admissibility_first():
     assert not verdict.realizable
     assert not verdict.admissible.passed
     assert verdict.offending_vertex is None
+
+
+def fits_every_cell(graph: DistinguishedGraph) -> bool:
+    """The per-cell rule: each cell's child decorations are those of one
+    of its configurations."""
+    for v, kids in enumerate(graph.tree.children):
+        allowed = {
+            (dec.child_colors, dec.child_primes)
+            for dec in enumerate_cell_configs(len(kids), graph.colors[v])
+        }
+        decoration = (
+            tuple(graph.colors[c] for c in kids),
+            tuple(graph.primes[c] for c in kids),
+        )
+        if decoration not in allowed:
+            return False
+    return True
+
+
+def test_realizable_is_per_cell_membership():
+    for n in range(5):
+        for tree in plane_trees(n):
+            for marks in itertools.product(
+                itertools.product((False, True), repeat=2), repeat=n
+            ):
+                colors = (1,) + tuple(RED if o else BLACK for o, _ in marks)
+                primes = (False,) + tuple(p for _, p in marks)
+                graph = DistinguishedGraph(tree, colors, primes)
+                code = graph_to_code(graph)
+                assert check_realizable(code).realizable == fits_every_cell(graph), code
 
 
 def test_every_enumerated_code_is_realizable():

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 import re
 import xml.etree.ElementTree as ET
 
 import pytest
 
+from diskflows.cli import main
 from diskflows.codec import code_to_graph, parse_code
 from diskflows.enumeration import enumerate_flows
 from diskflows.model import CellKind, boundary_directions, classify_cell
@@ -143,3 +145,25 @@ def test_svg_invariants_on_sampled_codes():
         for vertex, parent in parents.items():
             expected = tree_parents[vertex]
             assert parent == (None if expected == 0 else expected)
+
+
+def test_svg_of_every_small_code_is_unchanged():
+    digest = hashlib.sha256()
+    for n in range(5):
+        for code in enumerate_flows(n):
+            digest.update(diagram_to_svg(code_to_graph(code)).encode())
+    assert digest.hexdigest() == (
+        "6c27733b1adf03a63d09da805a82e0d3dbee16a76256674ba1969fc85ee35dfe"
+    )
+
+
+def test_svg_of_a_deep_path_renders_without_recursion(tmp_path, capsys):
+    depth = 1200
+    path = tmp_path / "deep.svg"
+    rc = main(["render", "1" * depth + "0", "--view", "diagram", "--out", str(path)])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    svg = path.read_text()
+    assert svg.count('<g class="loop"') == svg.count("</g>") == depth
+    assert f'{"  " * (depth + 1)}<g class="loop" data-vertex="{depth}"' in svg
+    assert svg.endswith("</svg>\n")
