@@ -20,6 +20,7 @@ from pathlib import Path
 from diskflows.codec import serialize_code
 from diskflows.enumeration import (
     count_flows,
+    iter_code_texts,
     iter_flows,
     table_rows,
     table_to_csv,
@@ -97,8 +98,7 @@ def write_code_lists(job: Job) -> None:
     for n in range(job.list_max_n + 1):
         path = job.out_dir / f"codes_n{n}.txt"
         with path.open("w") as handle:
-            for code in iter_flows(n):
-                handle.write(serialize_code(code) + "\n")
+            handle.writelines(f"{text}\n" for text in iter_code_texts(n))
         print(f"wrote {path}")
 
 

@@ -30,7 +30,7 @@ from .enumeration import (
     codes_to_text,
     count_flows,
     enumerate_flows,  # not called here; kept for the tracer in bench/layers.py
-    iter_flows,
+    iter_code_texts,
     table_rows,
     table_to_csv,
 )
@@ -50,7 +50,7 @@ DEFAULT_CAP = 10
 #: Python's default limit of 4300 digits for converting an int to text.
 COUNT_MAX_N = 4000
 
-#: Codes serialized and written per step of ``enum``.
+#: Code texts joined and written per step of ``enum``.
 ENUM_CHUNK = 4096
 
 
@@ -159,9 +159,9 @@ def _cmd_enum(args) -> int:
         _write_or_print(f"{count_flows(args.n)}\n", args.out)
         return EXIT_OK
     _check_n(args.n, args.cap)
-    flows = iter_flows(args.n)
+    texts = iter_code_texts(args.n)
     with _output(args.out) as fh:
-        while chunk := list(itertools.islice(flows, ENUM_CHUNK)):
+        while chunk := list(itertools.islice(texts, ENUM_CHUNK)):
             fh.write(codes_to_text(chunk))
     return EXIT_OK
 

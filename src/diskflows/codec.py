@@ -147,12 +147,16 @@ def parse_code(text: str) -> Code:
     return Code(tuple(tokens))
 
 
+def join_token_texts(values: list[int], texts: list[str]) -> str:
+    """A code's text from its token values and token texts: compact when
+    every value fits in one digit, spaced otherwise."""
+    return ("" if max(values) <= 9 else " ").join(texts)
+
+
 def serialize_code(code: Code) -> str:
     """Canonical text: compact when every value fits in one digit."""
-    parts = [t.text() for t in code.tokens]
-    if all(t.value <= 9 for t in code.tokens):
-        return "".join(parts)
-    return " ".join(parts)
+    tokens = code.tokens
+    return join_token_texts([t.value for t in tokens], [t.text() for t in tokens])
 
 
 # ======================================================================
@@ -365,7 +369,8 @@ def graph_from_json(doc: dict) -> DistinguishedGraph:
     """Rebuild a decorated tree from its plain-dict form.
 
     Integer fields must hold ints proper: JSON ``true`` equals 1 in
-    Python, so ``type(x) is int`` keeps booleans out.
+    Python, so ``type(x) is int`` keeps booleans out.  ``prime`` must
+    hold a boolean proper, so that no other truthy value counts as one.
     """
     if not isinstance(doc, dict):
         raise ValueError("graph document must be an object")
@@ -396,6 +401,8 @@ def graph_from_json(doc: dict) -> DistinguishedGraph:
         if entry["parent"] is not None and type(entry["parent"]) is not int:
             raise ValueError(f"parent of vertex {i} must be an id or null")
         declared_parents.append(entry["parent"])
+        if type(entry["prime"]) is not bool:
+            raise ValueError(f"prime of vertex {i} must be true or false")
         if i == 0:
             if entry["color"] is not None:
                 raise ValueError("the root has no color")
@@ -405,7 +412,7 @@ def graph_from_json(doc: dict) -> DistinguishedGraph:
             if type(entry["color"]) is not int or entry["color"] not in (BLACK, RED):
                 raise ValueError(f"vertex {i} needs color 1 or -1")
             colors.append(entry["color"])
-            primes.append(bool(entry["prime"]))
+            primes.append(entry["prime"])
 
     tree = PlaneRootedTree(tuple(children))
     if declared_parents != list(tree.parents()):

@@ -13,19 +13,26 @@ coefficients (Flajolet & Sedgewick, *Analytic Combinatorics*, I.5).
 counting table still reports per tree, cross-checks it.
 
 :func:`iter_flows` lists the codes in sorted order by walking tokens, not
-trees, so codes over different trees interleave as sorting demands.  It
-is a lexicographic generator without dead ends (Ruskey, *Combinatorial
-Generation*): O(n) state and amortized constant work per step.
+trees, so codes over different trees interleave as sorting demands.  The
+walk is a lexicographic generator without dead ends (Ruskey,
+*Combinatorial Generation*): O(n) state and amortized constant work per
+step, since each step changes only a suffix of the code.  That one walk,
+:func:`_walk`, takes the factory that makes each token.  :func:`iter_flows`
+passes the interned :class:`~diskflows.codec.CodeToken` constructor and
+builds a :class:`~diskflows.codec.Code` per step.  :func:`iter_code_texts`,
+the listing path of ``diskflows enum``, passes a table of token texts
+cached per stream and joins each code's texts, so only the tokens of the
+changed suffix are made anew and no code object is built.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .codec import Code, cached_token, serialize_code
+from .codec import Code, CodeToken, cached_token, join_token_texts, serialize_code
 from .model import (
     BLACK,
     RED,
@@ -125,9 +132,17 @@ def _cell_trie(k: int, color: int) -> list:
     return root
 
 
-def iter_flows(n: int) -> Iterator[Code]:
-    """All realizable codes with n separatrices in sorted order, one at a
-    time, with O(n) state.
+def _walk(
+    n: int, token: Callable[[int, bool, bool], object]
+) -> Iterator[tuple[list, list]]:
+    """The one token walk behind :func:`iter_flows` and
+    :func:`iter_code_texts`.
+
+    Yields the same pair ``(values, tokens)`` for every code, both lists
+    updated in place: ``values`` holds the code's values and ``tokens``
+    what ``token(value, overline, prime)`` made of each token.  Only the
+    positions after the one that advanced are made anew, so ``token`` is
+    called an amortized constant number of times per code.
 
     Codes compare token by token as (value, overline, prime), so position
     i runs through its values in ascending order and, for each value,
@@ -144,7 +159,8 @@ def iter_flows(n: int) -> Iterator[Code]:
     parents = [0] * (n + 1)
     nodes = [_ROOT_NODE] * (n + 1)  # decorations open at each position
     picks = [0] * (n + 1)  # index of the chosen decoration in nodes[i]
-    tokens = [cached_token(0)] * (n + 1)
+    tokens = [None] * (n + 1)
+    state = (values, tokens)
     start = 0
     while True:
         # Positions start..n take their least tokens.
@@ -162,8 +178,8 @@ def iter_flows(n: int) -> Iterator[Code]:
                 else:
                     nodes[i] = nodes[i - 1][picks[i - 1]][3]
             overline, prime = nodes[i][0][:2]
-            tokens[i] = cached_token(values[i], overline, prime)
-        yield Code(tuple(tokens))
+            tokens[i] = token(values[i], overline, prime)
+        yield state
         # Advance the rightmost position that has a larger token left.
         i = n
         while picks[i] + 1 == len(nodes[i]) and values[i] == n - placed[i]:
@@ -177,8 +193,42 @@ def iter_flows(n: int) -> Iterator[Code]:
             placed[i + 1] += 1
             picks[i] = 0
         overline, prime = nodes[i][picks[i]][:2]
-        tokens[i] = cached_token(values[i], overline, prime)
+        tokens[i] = token(values[i], overline, prime)
         start = i + 1
+
+
+def iter_flows(n: int) -> Iterator[Code]:
+    """All realizable codes with n separatrices in sorted order, one at a
+    time, with O(n) state.
+
+    Each code the token walk reaches is built as a :class:`Code` of
+    interned tokens.  :func:`iter_code_texts` runs the same walk and
+    yields the codes' texts instead.
+    """
+    for _, tokens in _walk(n, cached_token):
+        yield Code(tuple(tokens))
+
+
+def _token_text(value: int, overline: bool, prime: bool) -> str:
+    return CodeToken(value, overline, prime).text()
+
+
+def iter_code_texts(n: int) -> Iterator[str]:
+    """The text of every code of :func:`iter_flows`, in the same order,
+    equal to :func:`~diskflows.codec.serialize_code` of each.
+
+    No :class:`Code` is built: the walk's tokens are texts, each made
+    once per stream and kept in a table of at most 4(n+1) entries, since
+    the walk never makes a value above n.  For the same reason every
+    code is compact when n <= 9.
+    """
+    walk = _walk(n, lru_cache(maxsize=None)(_token_text))
+    if n <= 9:
+        for _, texts in walk:
+            yield "".join(texts)
+    else:
+        for values, texts in walk:
+            yield join_token_texts(values, texts)
 
 
 def enumerate_flows(n: int) -> list[Code]:
@@ -240,5 +290,7 @@ def table_to_csv(rows: list[TableRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def codes_to_text(codes: list[Code]) -> str:
-    return "\n".join(serialize_code(c) for c in codes) + "\n"
+def codes_to_text(codes: list[Code] | list[str]) -> str:
+    """One line per code, the codes given as :class:`Code` objects or as
+    their texts; ``str`` of a ``Code`` is its serialized text."""
+    return "\n".join(map(str, codes)) + "\n"

@@ -152,6 +152,19 @@ def test_encode_rejects_booleans_for_integers(where, tmp_path, capsys):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("vertex", [0, 1])
+@pytest.mark.parametrize("prime", ["no", 1, 0, None], ids=repr)
+def test_encode_rejects_non_booleans_for_prime(vertex, prime, tmp_path, capsys):
+    doc = json.loads(json.dumps(GRAPH_OF_10))
+    doc["vertices"][vertex]["prime"] = prime
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, "encode", str(path))
+    assert rc == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 # ---------------------------------------------------------------------------
 # enum
 

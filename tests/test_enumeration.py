@@ -9,7 +9,16 @@ from collections import deque
 import pytest
 
 from diskflows.cli import main
-from diskflows.codec import check_realizable, graph_to_code, serialize_code
+from diskflows import enumeration
+from diskflows.codec import (
+    Code,
+    CodeToken,
+    check_realizable,
+    graph_to_code,
+    join_token_texts,
+    parse_code,
+    serialize_code,
+)
 from diskflows.enumeration import (
     CSV_HEADER,
     abstract_classes,
@@ -17,6 +26,7 @@ from diskflows.enumeration import (
     count_flows,
     enumerate_flows,
     flows_per_tree,
+    iter_code_texts,
     iter_flows,
     plane_trees,
     table_rows,
@@ -239,6 +249,45 @@ def test_iter_flows_starts_at_the_path_without_recursion():
 
 def test_codes_to_text_one_line_per_code():
     assert codes_to_text(enumerate_flows(1)) == "10\n10~\n10~'\n"
+    assert codes_to_text(list(iter_code_texts(1))) == "10\n10~\n10~'\n"
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_code_texts_are_the_serialized_code_stream(n):
+    assert list(iter_code_texts(n)) == [serialize_code(c) for c in iter_flows(n)]
+
+
+def test_code_texts_take_the_spaced_form_from_ten_loops_on():
+    # The walk reaches a value of 10 only after about 1.3e8 codes at
+    # n = 10, so the joining helper is checked on its own.
+    for text in ("10 0 0 0 0 0 0 0 0 0 0", "10 1~ 0~ 0~' 0~ 0~ 0~ 0~ 0~ 0~ 0~ 0"):
+        code = parse_code(text)
+        values = [t.value for t in code.tokens]
+        texts = [t.text() for t in code.tokens]
+        assert join_token_texts(values, texts) == serialize_code(code) == text
+    first = next(iter_code_texts(10))
+    assert first == serialize_code(next(iter_flows(10))) == "1" * 10 + "0"
+
+
+def test_token_texts_are_made_once_per_stream_from_walk_tokens(monkeypatch):
+    made = []
+
+    def recording(value, overline, prime):
+        made.append((value, overline, prime))
+        return CodeToken(value, overline, prime).text()
+
+    monkeypatch.setattr(enumeration, "_token_text", recording)
+    for n in (3, 4):
+        made.clear()
+        stream = iter_code_texts(n)
+        head = [next(stream) for _ in range(10)]
+        # Text parsed from user input goes through CodeToken.text, never
+        # through the stream's table.
+        big = Code((CodeToken(4294967295), CodeToken(0, True, True)))
+        assert serialize_code(big) == "4294967295 0~'"
+        assert head + list(stream) == [serialize_code(c) for c in iter_flows(n)]
+        assert len(made) == len(set(made)) <= 4 * (n + 1)
+        assert all(value <= n for value, _, _ in made)
 
 
 # ---------------------------------------------------------------------------
