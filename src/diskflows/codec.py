@@ -38,7 +38,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import lt
 
 from .model import (
     BLACK,
@@ -47,6 +46,7 @@ from .model import (
     DistinguishedGraph,
     PlaneRootedTree,
     classify_cell,  # not called here; kept for the tracer in bench/layers.py
+    source_corners,
 )
 
 MAX_TOKEN_VALUE = 2**32 - 1
@@ -267,8 +267,7 @@ def _scan(code: Code):
                 break
         elif bad_cell is None:
             sides = [v == 0 or not overlines[v]] + kid_overlines
-            # A source corner is a side of direction -1 followed by +1.
-            sources = sum(map(lt, sides, sides[1:] + sides[:1]))
+            sources = source_corners(sides)
             if sources > 1:
                 bad_cell = (v, sides, sources)
         nxt = end

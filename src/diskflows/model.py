@@ -21,21 +21,22 @@ traversal direction of side i relative to the flow is
     d_i = -color(inner loop i)   for i >= 1,
 
 because an inner loop is walked against its own induced orientation.
-A corner is a source when the flow leaves along both adjacent sides, a
-sink when it enters along both, and ordinary (hyperbolic) when the flow
-passes through.  A coherently oriented boundary has no sources or sinks;
-such a cell is cyclic and contains exactly one elliptic corner, chosen
-freely and recorded by the side whose flow enters it.  A boundary with
-exactly one source (hence one sink) bounds a polar cell.  Boundaries
-with two or more sources do not occur in a flow.
+A corner is a source when the flow leaves along both adjacent sides.
+A coherently oriented boundary has no source; such a cell is cyclic and
+contains exactly one elliptic corner, chosen freely and recorded by the
+side whose flow enters it.  A boundary with exactly one source (hence
+one sink) bounds a polar cell.  Boundaries with two or more sources do
+not occur in a flow.  :func:`source_corners` is the one count of sources
+that the classifier and the validator share; the full corner types
+(source, sink, hyperbolic) are worked out independently by the oracle.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from operator import lt
 
 BLACK = 1
 RED = -1
@@ -44,34 +45,10 @@ RED = -1
 ROOT_LOWER_DIRECTION = 1
 
 
-class CornerType(Enum):
-    SOURCE = "source"
-    SINK = "sink"
-    HYPERBOLIC = "hyperbolic"
-    ELLIPTIC = "elliptic"
-
-
 class CellKind(Enum):
     CYCLIC = "cyclic"
     POLAR = "polar"
     INVALID = "invalid"
-
-
-class _CoherentMarker:
-    """Returned by classify_corners for a coherently oriented boundary."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "COHERENT"
-
-
-COHERENT = _CoherentMarker()
 
 
 # ======================================================================
@@ -85,7 +62,8 @@ class PlaneRootedTree:
 
     ``children[v]`` is the ordered tuple of child ids of vertex v.  With
     level-order numbering the child tuples are exactly the consecutive
-    blocks 1..V-1, which ``__post_init__`` enforces.
+    blocks 1..V-1, each starting after its owner, which ``__post_init__``
+    enforces.  Every vertex but the root then has one parent, of smaller id.
     """
 
     children: tuple[tuple[int, ...], ...]
@@ -98,6 +76,8 @@ class PlaneRootedTree:
             raise ValueError("a tree has at least one vertex")
         nxt = 1
         for v, kids in enumerate(self.children):
+            if kids and nxt <= v:
+                raise ValueError(f"vertex {v} has no parent of smaller id")
             for c in kids:
                 if c != nxt:
                     raise ValueError(
@@ -109,19 +89,20 @@ class PlaneRootedTree:
 
     @classmethod
     def from_up_degrees(cls, degrees) -> "PlaneRootedTree":
-        """Build the tree whose level-order up-degree sequence is ``degrees``."""
+        """Build the tree whose level-order up-degree sequence is ``degrees``.
+
+        The sum is checked first, so no block is longer than the sequence.
+        """
         degrees = tuple(int(d) for d in degrees)
         if any(d < 0 for d in degrees):
             raise ValueError("up-degrees are non-negative")
+        if sum(degrees) != len(degrees) - 1:
+            raise ValueError("up-degrees do not sum to vertex count minus one")
         blocks = []
         nxt = 1
-        for i, d in enumerate(degrees):
-            if i >= nxt:
-                raise ValueError(f"vertex {i} has no parent (prefix sums too small)")
+        for d in degrees:
             blocks.append(tuple(range(nxt, nxt + d)))
             nxt += d
-        if nxt != len(degrees):
-            raise ValueError("up-degrees do not sum to vertex count minus one")
         return cls(tuple(blocks))
 
     @property
@@ -205,10 +186,6 @@ class CellBoundary:
     def __len__(self) -> int:
         return len(self.sides)
 
-    @property
-    def coherent(self) -> bool:
-        return all(d == self.sides[0] for d in self.sides)
-
 
 def boundary_directions(graph: DistinguishedGraph, v: int) -> CellBoundary:
     """Boundary of the cell of vertex v: side 0 is the lower side, sides
@@ -219,36 +196,25 @@ def boundary_directions(graph: DistinguishedGraph, v: int) -> CellBoundary:
     return CellBoundary((lower,) + tuple(-graph.colors[c] for c in graph.tree.children[v]))
 
 
-def classify_corners(boundary: CellBoundary):
-    """Corner types of a cell, or COHERENT when the boundary is one cycle.
+def source_corners(sides) -> int:
+    """Number of source corners of a cell with side directions ``sides``,
+    given as +1/-1 or as booleans (True for +1).
 
     Corner i sits between side i and side i+1 (indices mod the side
-    count).  On a coherent boundary every corner is passed through, and
-    which one is elliptic is extra data, so the marker is returned
-    instead of a list.
+    count); it is a source when side i runs -1 and side i+1 runs +1.
     """
-    d = boundary.sides
-    if boundary.coherent:
-        return COHERENT
-    m = len(d)
-    corners = []
-    for i in range(m):
-        pair = (d[i], d[(i + 1) % m])
-        if pair == (-1, 1):
-            corners.append(CornerType.SOURCE)
-        elif pair == (1, -1):
-            corners.append(CornerType.SINK)
-        else:
-            corners.append(CornerType.HYPERBOLIC)
-    return corners
+    return sum(map(lt, sides, sides[1:] + sides[:1]))
 
 
 def classify_cell(boundary: CellBoundary) -> CellKind:
-    """Cyclic, polar, or invalid (more than one source corner)."""
-    corners = classify_corners(boundary)
-    if corners is COHERENT:
+    """Cyclic (no source corner), polar (one), or invalid (more).
+
+    A boundary that is not coherent changes direction from -1 to +1
+    somewhere, so only a coherent boundary has no source.
+    """
+    sources = source_corners(boundary.sides)
+    if sources == 0:
         return CellKind.CYCLIC
-    sources = sum(1 for c in corners if c is CornerType.SOURCE)
     return CellKind.POLAR if sources == 1 else CellKind.INVALID
 
 
@@ -352,55 +318,3 @@ def enumerate_cell_configs(n: int, lower_direction: int) -> tuple[CellDecoration
             out.append(CellDecoration(PolarCell(source, sink), colors, no_primes))
     out.sort(key=lambda dec: (dec.child_colors, dec.child_primes))
     return tuple(out)
-
-
-def extract_cell_config(
-    lower_direction: int,
-    child_colors: tuple[int, ...],
-    child_primes: tuple[bool, ...],
-) -> CellConfiguration:
-    """Recover the configuration from the decorations it forced.
-
-    Raises ValueError when no configuration produces them (a prime on a
-    non-coherent boundary, several primes, or a pattern with two or more
-    sources).
-    """
-    n = len(child_colors)
-    if len(child_primes) != n:
-        raise ValueError("color and prime lists differ in length")
-    boundary = CellBoundary((lower_direction,) + tuple(-c for c in child_colors))
-    primed = [i for i, p in enumerate(child_primes) if p]
-    if boundary.coherent:
-        if len(primed) > 1:
-            raise ValueError("at most one inner loop of a cell is primed")
-        return CyclicCell(primed[0] + 1 if primed else 0)
-    if primed:
-        raise ValueError("a primed loop requires a coherent boundary")
-    corners = classify_corners(boundary)
-    sources = [i for i, c in enumerate(corners) if c is CornerType.SOURCE]
-    if len(sources) != 1:
-        raise ValueError(f"boundary has {len(sources)} source corners")
-    sink = next(i for i, c in enumerate(corners) if c is CornerType.SINK)
-    return PolarCell(sources[0], sink)
-
-
-def elliptic_corner_index(entry: int, boundary: CellBoundary) -> int:
-    """Corner entered by side ``entry`` on a coherent boundary.
-
-    With direction +1 side i runs from corner i-1 to corner i, with -1
-    the other way round.
-    """
-    if not boundary.coherent:
-        raise ValueError("elliptic corners live on coherent boundaries")
-    m = len(boundary.sides)
-    if not 0 <= entry < m:
-        raise ValueError("entry side out of range")
-    if boundary.sides[0] == 1:
-        return entry
-    return (entry - 1) % m
-
-
-def all_boundaries(n: int, lower_direction: int = 1):
-    """Iterate the 2**n boundaries of a cell with n inner loops."""
-    for rest in itertools.product((1, -1), repeat=n):
-        yield CellBoundary((lower_direction,) + rest)

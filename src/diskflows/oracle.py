@@ -2,12 +2,13 @@
 
 Everything here recomputes results from first principles: cell
 configurations by trying all 2**n colorings of the inner loops and
-classifying the resulting corners, and flow classes by decorating every
-plane tree with every coloring and every prime placement, keeping what
-the authoritative validator accepts.  Plane trees are regenerated here
-too, by recursive composition rather than by sequence search.  The only
-shared ingredients are the boundary/corner primitives and the validator
-itself; in particular nothing here calls the fast per-cell enumerator.
+typing every corner of the resulting boundary, and flow classes by
+decorating every plane tree with every coloring and every prime
+placement, keeping what the authoritative validator accepts.  Plane
+trees are regenerated here too, by recursive composition rather than by
+sequence search.  The only shared ingredients are the decoration
+dataclasses and the validator itself; in particular nothing here calls
+the model's cell classifier or its fast per-cell enumerator.
 """
 
 from __future__ import annotations
@@ -18,17 +19,31 @@ from dataclasses import dataclass
 
 from .codec import Code, cached_token, check_realizable, serialize_code
 from .enumeration import count_flows
-from .model import (
-    COHERENT,
-    CellBoundary,
-    CellDecoration,
-    CornerType,
-    CyclicCell,
-    PolarCell,
-    classify_corners,
-)
+from .model import CellDecoration, CyclicCell, PolarCell
 
 DEFAULT_BOUND = 5
+
+
+def _corners(sides) -> list[str]:
+    """Type of every corner of a cell with side directions ``sides``.
+
+    Corner i sits between side i and side i+1 (indices mod the side
+    count).  Side i runs from corner i-1 to corner i along the flow when
+    its direction is +1 and the other way when it is -1, so corner i is
+    a "source" when the flow leaves it along both sides, a "sink" when
+    it enters along both, and "hyperbolic" when it passes through.
+    """
+    m = len(sides)
+    out = []
+    for i in range(m):
+        before, after = sides[i], sides[(i + 1) % m]
+        if before == -1 and after == 1:
+            out.append("source")
+        elif before == 1 and after == -1:
+            out.append("sink")
+        else:
+            out.append("hyperbolic")
+    return out
 
 
 def oracle_cell_configs(n: int, lower_direction: int) -> list[CellDecoration]:
@@ -43,17 +58,17 @@ def oracle_cell_configs(n: int, lower_direction: int) -> list[CellDecoration]:
         raise ValueError("lower direction must be +1 or -1")
     out: list[CellDecoration] = []
     for colors in itertools.product((1, -1), repeat=n):
-        boundary = CellBoundary((lower_direction,) + tuple(-c for c in colors))
-        corners = classify_corners(boundary)
-        if corners is COHERENT:
+        corners = _corners((lower_direction,) + tuple(-c for c in colors))
+        # Every corner passed through: the boundary is one coherent cycle.
+        if all(c == "hyperbolic" for c in corners):
             for entry in range(n + 1):
                 primes = tuple(i == entry - 1 for i in range(n))
                 out.append(CellDecoration(CyclicCell(entry), colors, primes))
             continue
-        sources = [i for i, c in enumerate(corners) if c is CornerType.SOURCE]
+        sources = [i for i, c in enumerate(corners) if c == "source"]
         if len(sources) != 1:
             continue
-        sink = next(i for i, c in enumerate(corners) if c is CornerType.SINK)
+        sink = corners.index("sink")
         out.append(
             CellDecoration(PolarCell(sources[0], sink), colors, (False,) * n)
         )

@@ -21,7 +21,6 @@ from .model import (
     DistinguishedGraph,
     boundary_directions,
     classify_cell,
-    elliptic_corner_index,
 )
 
 # ======================================================================
@@ -142,7 +141,8 @@ def _cell_dot(graph, v: int, spans, rho_of_cell: float, indent: str) -> str | No
     for j, c in enumerate(kids, start=1):
         if graph.primes[c]:
             entry = j
-    corner = elliptic_corner_index(entry, boundary)
+    # The flow along side i enters corner i in a +1 cell and corner i-1 in a -1 cell.
+    corner = entry if boundary.sides[0] == 1 else (entry - 1) % len(boundary)
     own = spans[v] if v else ROOT_RAYS
     rays = [own[0]]
     for c in kids:
@@ -160,7 +160,8 @@ def _cell_dot(graph, v: int, spans, rho_of_cell: float, indent: str) -> str | No
 
 def diagram_to_svg(graph: DistinguishedGraph) -> str:
     """Deterministic SVG of the flow of a realizable decorated tree."""
-    report = check_realizable(graph_to_code(graph))
+    code = graph_to_code(graph)
+    report = check_realizable(code)
     if not report.realizable:
         raise ValueError(f"graph is not realizable: {report.detail}")
 
@@ -173,7 +174,7 @@ def diagram_to_svg(graph: DistinguishedGraph) -> str:
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(SIZE)}" '
         f'height="{_fmt(SIZE)}" viewBox="0 0 {_fmt(SIZE)} {_fmt(SIZE)}">',
-        f"  <title>flow diagram for code {serialize_code(graph_to_code(graph))}</title>",
+        f"  <title>flow diagram for code {serialize_code(code)}</title>",
         f'  <circle class="disk" cx="{_fmt(CENTER)}" cy="{_fmt(CENTER)}" '
         f'r="{_fmt(DISK_R)}" fill="none" stroke="#000000" stroke-width="1.5"/>',
     ]

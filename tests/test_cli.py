@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import json
 import math
+import resource
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -163,6 +165,71 @@ def test_encode_rejects_non_booleans_for_prime(vertex, prime, tmp_path, capsys):
     assert rc == EXIT_USAGE
     assert out == ""
     assert err.startswith("error: ")
+
+
+# Consecutive child blocks that cover every vertex, but a vertex is its
+# own child: no tree, although the parents agree with the child lists.
+SELF_CHILD_DOCS = {
+    "two vertices": {
+        "separatrices": 1,
+        "vertices": [
+            {"id": 0, "parent": None, "children": [], "color": None, "prime": False},
+            {"id": 1, "parent": 1, "children": [1], "color": 1, "prime": False},
+        ],
+    },
+    "three vertices": {
+        "separatrices": 2,
+        "vertices": [
+            {"id": 0, "parent": None, "children": [1], "color": None, "prime": False},
+            {"id": 1, "parent": 0, "children": [], "color": 1, "prime": False},
+            {"id": 2, "parent": 2, "children": [2], "color": 1, "prime": False},
+        ],
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(SELF_CHILD_DOCS))
+def test_encode_rejects_a_vertex_that_is_its_own_child(name, tmp_path, capsys):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(SELF_CHILD_DOCS[name]))
+    rc, out, err = run(capsys, "encode", str(path))
+    assert rc == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def _limit_address_space():
+    limit = 1536 * 2**20
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("decode", "4294967295 0"),
+        ("decode", "100000000 0"),
+        ("render", "4294967295 0", "--view", "tree"),
+        ("render", "4294967295 0", "--view", "diagram"),
+    ],
+    ids=" ".join,
+)
+def test_decode_and_render_are_bounded_by_the_code_length(argv):
+    # A separate process under a 1.5 GB address limit, so that a
+    # value-sized allocation fails there instead of in the test run.
+    started = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "diskflows.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=_limit_address_space,
+    )
+    elapsed = time.perf_counter() - started
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+    assert elapsed < 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +391,14 @@ def test_unknown_command(capsys):
 def test_missing_argument(capsys):
     rc, _, err = run(capsys, "validate")
     assert rc == 1
+
+
+def test_every_exported_name_resolves():
+    import diskflows
+
+    assert "oracle_enumerate" in diskflows.__all__
+    for name in diskflows.__all__:
+        assert getattr(diskflows, name) is not None
 
 
 def test_console_script_is_installed():

@@ -11,25 +11,20 @@ from hypothesis import strategies as st
 from diskflows.codec import code_to_graph, parse_code
 from diskflows.model import (
     BLACK,
-    COHERENT,
     RED,
     CellBoundary,
     CellKind,
-    CornerType,
     CyclicCell,
     DistinguishedGraph,
     PlaneRootedTree,
     PolarCell,
-    all_boundaries,
     boundary_directions,
     cell_config_count,
     classify_cell,
-    classify_corners,
-    elliptic_corner_index,
     enumerate_cell_configs,
-    extract_cell_config,
     polar_boundary,
 )
+from diskflows.oracle import _corners
 
 
 def graph_of(text: str) -> DistinguishedGraph:
@@ -72,6 +67,17 @@ def test_tree_rejects_non_level_order_children():
         PlaneRootedTree(children=((1,), (0,)))
 
 
+@pytest.mark.parametrize(
+    "children",
+    [((), (1,)), ((1,), (), (2,)), ((1,), (2,), (), (3,))],
+)
+def test_tree_rejects_a_child_that_does_not_follow_its_parent(children):
+    # The blocks are consecutive and cover 1..V-1, but vertex 1, 2 or 3
+    # is its own child, so it hangs from no earlier vertex.
+    with pytest.raises(ValueError, match="no parent of smaller id"):
+        PlaneRootedTree(children)
+
+
 # ---------------------------------------------------------------------------
 # Boundary words
 
@@ -103,28 +109,21 @@ def test_boundary_unknown_vertex_raises():
 
 
 # ---------------------------------------------------------------------------
-# Corner and cell classification
+# Corner and cell classification (corner types from the oracle)
 
 
 def test_coherent_boundaries_have_no_corner_list():
-    assert classify_corners(CellBoundary((1, 1, 1))) is COHERENT
-    assert classify_corners(CellBoundary((-1,))) is COHERENT
-    assert classify_corners(CellBoundary((1,))) is COHERENT
+    assert _corners((1, 1, 1)) == ["hyperbolic"] * 3
+    assert _corners((-1,)) == ["hyperbolic"]
+    assert _corners((1,)) == ["hyperbolic"]
 
 
 def test_alternating_pair_yields_sink_then_source():
-    corners = classify_corners(CellBoundary((1, -1)))
-    assert corners == [CornerType.SINK, CornerType.SOURCE]
+    assert _corners((1, -1)) == ["sink", "source"]
 
 
 def test_corner_classification_reads_cyclically_adjacent_sides():
-    corners = classify_corners(CellBoundary((1, 1, -1, -1)))
-    assert corners == [
-        CornerType.HYPERBOLIC,
-        CornerType.SINK,
-        CornerType.HYPERBOLIC,
-        CornerType.SOURCE,
-    ]
+    assert _corners((1, 1, -1, -1)) == ["hyperbolic", "sink", "hyperbolic", "source"]
 
 
 def test_cell_kinds_for_small_boundaries():
@@ -143,23 +142,20 @@ def test_boundary_rejects_bad_sides():
 
 def test_source_and_sink_counts_balance():
     for sides in itertools.product((1, -1), repeat=5):
-        corners = classify_corners(CellBoundary(sides))
-        if corners is COHERENT:
+        if len(set(sides)) == 1:
             continue
-        sources = corners.count(CornerType.SOURCE)
-        sinks = corners.count(CornerType.SINK)
-        assert sources == sinks >= 1
+        corners = _corners(sides)
+        assert corners.count("source") == corners.count("sink") >= 1
 
 
 @given(st.lists(st.sampled_from((1, -1)), min_size=1, max_size=12))
 def test_cell_kind_matches_source_count(sides):
-    boundary = CellBoundary(tuple(sides))
-    kind = classify_cell(boundary)
-    corners = classify_corners(boundary)
-    if corners is COHERENT:
+    kind = classify_cell(CellBoundary(tuple(sides)))
+    corners = _corners(sides)
+    if all(c == "hyperbolic" for c in corners):
         assert kind is CellKind.CYCLIC
     else:
-        sources = corners.count(CornerType.SOURCE)
+        sources = corners.count("source")
         assert kind is (CellKind.POLAR if sources == 1 else CellKind.INVALID)
         assert sources >= 1
 
@@ -186,7 +182,8 @@ def test_boundary_census_matches_count_split():
     for n in range(9):
         for lower in (1, -1):
             kinds = [
-                classify_cell(sides) for sides in all_boundaries(n, lower)
+                classify_cell(CellBoundary((lower,) + rest))
+                for rest in itertools.product((1, -1), repeat=n)
             ]
             assert len(kinds) == 2**n
             assert kinds.count(CellKind.CYCLIC) == 1
@@ -194,12 +191,8 @@ def test_boundary_census_matches_count_split():
 
 
 def test_polar_boundary_places_single_source_and_sink():
-    sides = polar_boundary(3, source=1, sink=2)
-    corners = classify_corners(sides)
-    assert corners.count(CornerType.SOURCE) == 1
-    assert corners.count(CornerType.SINK) == 1
-    assert corners[1] is CornerType.SOURCE
-    assert corners[2] is CornerType.SINK
+    corners = _corners(polar_boundary(3, source=1, sink=2).sides)
+    assert corners == ["hyperbolic", "source", "sink", "hyperbolic"]
 
 
 def test_polar_boundary_covers_all_corner_pairs():
@@ -210,9 +203,9 @@ def test_polar_boundary_covers_all_corner_pairs():
             if source == sink:
                 continue
             sides = polar_boundary(n, source, sink)
-            corners = classify_corners(sides)
-            assert corners[source] is CornerType.SOURCE
-            assert corners[sink] is CornerType.SINK
+            corners = _corners(sides.sides)
+            assert corners[source] == "source"
+            assert corners[sink] == "sink"
             seen.add(sides)
     # every ordered corner pair forces a different boundary word
     assert len(seen) == n * (n + 1)
@@ -260,37 +253,6 @@ def test_enumerate_configs_sorted_count_and_kinds(n, lower):
             assert deco.child_primes == (False,) * n
             sides = (lower,) + tuple(-c for c in deco.child_colors)
             assert classify_cell(CellBoundary(sides)) is CellKind.POLAR
-
-
-@pytest.mark.parametrize("lower", [1, -1])
-@pytest.mark.parametrize("n", range(7))
-def test_extract_inverts_enumeration(n, lower):
-    for deco in enumerate_cell_configs(n, lower):
-        found = extract_cell_config(lower, deco.child_colors, deco.child_primes)
-        assert found == deco.config
-
-
-def test_extract_rejects_invalid_decorations():
-    # two alternations force a second source corner
-    with pytest.raises(ValueError):
-        extract_cell_config(1, (1, -1, 1), (False, False, False))
-    # elliptic marks are confined to cyclic cells
-    with pytest.raises(ValueError):
-        extract_cell_config(1, (1, -1), (True, False))
-    # at most one mark per cell
-    with pytest.raises(ValueError):
-        extract_cell_config(1, (-1, -1), (True, True))
-
-
-def test_elliptic_corner_tracks_lower_direction():
-    forward = CellBoundary((1, 1, 1))
-    backward = CellBoundary((-1, -1, -1))
-    assert elliptic_corner_index(0, forward) == 0
-    assert elliptic_corner_index(2, forward) == 2
-    assert elliptic_corner_index(0, backward) == 2
-    assert elliptic_corner_index(1, backward) == 0
-    assert elliptic_corner_index(0, CellBoundary((1,))) == 0
-    assert elliptic_corner_index(0, CellBoundary((-1,))) == 0
 
 
 # ---------------------------------------------------------------------------
