@@ -92,7 +92,10 @@ class Code:
         return serialize_code(self)
 
 
-cached_token = lru_cache(maxsize=None)(CodeToken)
+# Interned tokens.  Bounded, since graph_to_code may meet any value.  The
+# token walk and the oracle make at most 4(n+1) distinct tokens for n
+# separatrices, far below the bound at any n they can finish.
+cached_token = lru_cache(maxsize=1024)(CodeToken)
 
 
 # ======================================================================

@@ -32,7 +32,7 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .codec import Code, CodeToken, cached_token, join_token_texts, serialize_code
+from .codec import Code, CodeToken, cached_token, join_token_texts
 from .model import (
     BLACK,
     RED,
@@ -73,8 +73,22 @@ def plane_trees(n: int) -> list[PlaneRootedTree]:
     return [PlaneRootedTree.from_up_degrees(s) for s in _up_degree_sequences(n)]
 
 
-def _abstract_key(tree: PlaneRootedTree, v: int = 0):
-    return tuple(sorted(_abstract_key(tree, c) for c in tree.children[v]))
+def _abstract_key(seq: tuple[int, ...]) -> tuple:
+    """Isomorphism key of the rooted tree with up-degree sequence ``seq``:
+    each vertex's key is the sorted tuple of its children's keys.
+
+    Child blocks follow their parents' order in level order, so walking
+    the vertices from last to first meets the blocks from last to first,
+    and every child before its parent.
+    """
+    keys: list[tuple] = [()] * len(seq)
+    end = len(seq)
+    for v in range(len(seq) - 1, -1, -1):
+        d = seq[v]
+        if d:
+            keys[v] = tuple(sorted(keys[end - d : end]))
+            end -= d
+    return keys[0]
 
 
 def abstract_classes(n: int) -> list[tuple[PlaneRootedTree, int]]:
@@ -82,17 +96,22 @@ def abstract_classes(n: int) -> list[tuple[PlaneRootedTree, int]]:
 
     Returns (representative, embedding count) pairs, the representative
     being the member with the smallest up-degree sequence, sorted by
-    that sequence.
+    that sequence.  The up-degree sequences of all plane trees are
+    grouped by :func:`_abstract_key`; they come in descending order, so
+    each group's last member is its representative, and only the
+    representatives are built as trees.
     """
-    groups: dict[tuple, list[PlaneRootedTree]] = {}
-    for tree in plane_trees(n):
-        groups.setdefault(_abstract_key(tree), []).append(tree)
-    out = [
-        (min(members, key=lambda t: t.up_degrees), len(members))
-        for members in groups.values()
+    if n < 0:
+        raise ValueError("edge count is non-negative")
+    groups: dict[tuple, list] = {}
+    for seq in _up_degree_sequences(n):
+        group = groups.setdefault(_abstract_key(seq), [seq, 0])
+        group[0] = seq  # descending order: the last member is the least
+        group[1] += 1
+    return [
+        (PlaneRootedTree.from_up_degrees(seq), count)
+        for seq, count in sorted(groups.values())
     ]
-    out.sort(key=lambda pair: pair[0].up_degrees)
-    return out
 
 
 # ======================================================================
@@ -261,7 +280,8 @@ class TableRow:
 
 
 def _tree_code_text(tree: PlaneRootedTree) -> str:
-    return serialize_code(Code(tuple(cached_token(d) for d in tree.up_degrees)))
+    values = list(tree.up_degrees)
+    return join_token_texts(values, list(map(str, values)))
 
 
 def table_rows(max_n: int) -> list[TableRow]:

@@ -15,6 +15,7 @@ from diskflows.codec import (
     CodeSyntaxError,
     CodeToken,
     are_equivalent,
+    cached_token,
     check_admissible,
     check_realizable,
     code_to_graph,
@@ -320,6 +321,14 @@ def test_graph_to_code_inverts_code_to_graph():
     for n in range(5):
         for code in enumerate_flows(n):
             assert graph_to_code(code_to_graph(code)) == code
+
+
+def test_token_cache_stays_bounded():
+    for leaves in range(1, 2001):
+        tree = PlaneRootedTree.from_up_degrees((leaves,) + (0,) * leaves)
+        graph = DistinguishedGraph(tree, (1,) * (leaves + 1), (False,) * (leaves + 1))
+        assert graph_to_code(graph).tokens[0].value == leaves
+    assert cached_token.cache_info().currsize <= 1024
 
 
 def tree_strategy(max_n=6):

@@ -145,6 +145,19 @@ def test_abstract_multiplicities_cover_all_embeddings(n):
     assert reps == sorted(reps)
 
 
+def recursive_key(tree, v=0):
+    return tuple(sorted(recursive_key(tree, c) for c in tree.children[v]))
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_abstract_classes_match_grouping_of_plane_trees(n):
+    groups = {}
+    for tree in plane_trees(n):
+        groups.setdefault(recursive_key(tree), []).append(tree.up_degrees)
+    expected = sorted((min(members), len(members)) for members in groups.values())
+    assert [(rep.up_degrees, mult) for rep, mult in abstract_classes(n)] == expected
+
+
 def test_abstract_representative_is_least_embedding():
     # the class containing (2, 2, 0, 1, 0, 0) is represented by its
     # lexicographically least plane embedding
@@ -315,6 +328,14 @@ def test_table_csv_text():
         "1,10,3,1,3\n"
         "2,110,9,1,9\n"
         "2,200,6,1,6\n"
+    )
+
+
+def test_table_csv_to_nine_loops_is_unchanged():
+    text = table_to_csv(table_rows(9))
+    assert text.count("\n") == 1 + 1205
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "adcd590f6a24791fa2015bb24b5d1831acb53db563b28b5b6fb2425edb23bd40"
     )
 
 

@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+import itertools
+import math
+import time
+
 import pytest
 
-from diskflows.codec import check_admissible, check_realizable, parse_code
-from diskflows.enumeration import enumerate_flows
+from diskflows import oracle
+from diskflows.codec import Code, CodeToken, check_admissible, check_realizable, parse_code
+from diskflows.enumeration import enumerate_flows, iter_flows
 from diskflows.model import cell_config_count, enumerate_cell_configs
 from diskflows.oracle import (
     DEFAULT_BOUND,
+    _nested_trees,
+    _nested_up_degrees,
     oracle_cell_configs,
     oracle_enumerate,
 )
@@ -92,3 +99,60 @@ def test_oracle_refuses_large_inputs():
         oracle_enumerate(6)
     with pytest.raises(ValueError):
         oracle_enumerate(3, bound=2)
+
+
+def full_brute_force(n):
+    """Every coloring and every prime pattern of every tree, 4**n
+    candidates per tree, through the validator: the unpruned reference
+    for the oracle's one-prime-per-block search."""
+    realizable, witnesses, admissible = set(), [], 0
+    for nested in _nested_trees(n):
+        values = _nested_up_degrees(nested)
+        for marks in itertools.product(
+            itertools.product((False, True), repeat=2), repeat=n
+        ):
+            code = Code(
+                (CodeToken(values[0]),)
+                + tuple(CodeToken(d, o, p) for d, (o, p) in zip(values[1:], marks))
+            )
+            report = check_realizable(code)
+            if report.admissible.passed:
+                admissible += 1
+                if report.realizable:
+                    realizable.add(code)
+                else:
+                    witnesses.append(code)
+    return realizable, admissible - len(realizable), sorted(witnesses)
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_one_prime_per_block_drops_nothing(n):
+    codes, report = oracle_enumerate(n)
+    realizable, admissible_only, witnesses = full_brute_force(n)
+    assert codes == realizable
+    assert report.admissible_only_count == admissible_only
+    assert list(report.witnesses) == witnesses
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_every_candidate_goes_through_the_validator(n, monkeypatch):
+    calls = []
+
+    def counting(code):
+        calls.append(code)
+        return check_realizable(code)
+
+    monkeypatch.setattr(oracle, "check_realizable", counting)
+    oracle_enumerate(n)
+    assert len(calls) == 2**n * math.comb(3 * n + 1, n) // (n + 1)
+    assert len(set(calls)) == len(calls)
+
+
+def test_oracle_matches_enumeration_at_six_loops():
+    start = time.perf_counter()
+    codes, report = oracle_enumerate(6, bound=6)
+    assert time.perf_counter() - start < 60
+    assert codes == set(iter_flows(6))
+    assert report.agrees
+    assert report.oracle_count == 32890
+    assert report.admissible_only_count == 2328
