@@ -142,7 +142,9 @@ def _cmd_encode(args) -> int:
                 doc = json.load(fh)
     except OSError as exc:
         return _fail(f"cannot read {args.json_file}: {exc}")
-    except json.JSONDecodeError as exc:
+    # Deep nesting exhausts the parser's recursion; an int literal past
+    # Python's digit limit raises a plain ValueError.
+    except (ValueError, RecursionError) as exc:
         return _fail(f"invalid JSON: {exc}")
     try:
         graph = graph_from_json(doc)

@@ -50,6 +50,7 @@ from .model import (
 )
 
 MAX_TOKEN_VALUE = 2**32 - 1
+_MAX_TOKEN_DIGITS = len(str(MAX_TOKEN_VALUE))
 
 PROPERTY_NAMES = ("length", "first token marks", "prefix sums", "prime groups")
 
@@ -111,7 +112,13 @@ def _parse_spaced(text: str) -> list[CodeToken]:
         m = _SPACED_TOKEN.match(part)
         if m is None:
             raise CodeSyntaxError(f"malformed token {part!r}")
-        value = int(m.group(1))
+        digits = m.group(1)
+        if len(digits) > _MAX_TOKEN_DIGITS:
+            # Also keeps int() clear of Python's int-string digit limit.
+            digits = digits.lstrip("0") or "0"
+            if len(digits) > _MAX_TOKEN_DIGITS:
+                raise CodeSyntaxError(f"token value of {len(digits)} digits out of range")
+        value = int(digits)
         if value > MAX_TOKEN_VALUE:
             raise CodeSyntaxError(f"token value {value} out of range")
         out.append(CodeToken(value, m.group(2) == "~", m.group(3) == "'"))

@@ -16,7 +16,9 @@ counting table still reports per tree, cross-checks it.
 trees, so codes over different trees interleave as sorting demands.  The
 walk is a lexicographic generator without dead ends (Ruskey,
 *Combinatorial Generation*): O(n) state and amortized constant work per
-step, since each step changes only a suffix of the code.  That one walk,
+step, since each step changes only a suffix of the code.  The decorations
+a cell allows come from :data:`~diskflows.model.CELL_AUTOMATON`, three
+states per parent color whatever the cell's size.  That one walk,
 :func:`_walk`, takes the factory that makes each token.  :func:`iter_flows`
 passes the interned :class:`~diskflows.codec.CodeToken` constructor and
 builds a :class:`~diskflows.codec.Code` per step.  :func:`iter_code_texts`,
@@ -33,13 +35,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .codec import Code, CodeToken, cached_token, join_token_texts
-from .model import (
-    BLACK,
-    RED,
-    PlaneRootedTree,
-    cell_config_count,
-    enumerate_cell_configs,
-)
+from .model import BLACK, CELL_AUTOMATON, PlaneRootedTree, cell_config_count
 
 
 # ======================================================================
@@ -127,28 +123,9 @@ def flows_per_tree(tree: PlaneRootedTree) -> int:
     return total
 
 
-# A node of a cell trie: the decorations the next child may take, each as
-# [overline, prime, color, node for the children after it].  The root cell
-# has one fixed "decoration": no marks and the boundary direction.
+# The root cell has one fixed "decoration", in the format of the cell
+# automaton's nodes: no marks and the boundary direction.
 _ROOT_NODE = [[False, False, BLACK, []]]
-
-
-@lru_cache(maxsize=None)
-def _cell_trie(k: int, color: int) -> list:
-    """The child decorations a cell with k inner loops forces, as a trie
-    in token order; ``color`` is the color of the cell's own vertex.  The
-    trie is shared between calls and never modified."""
-    root: list = []
-    for seq in sorted(
-        tuple(zip([c == RED for c in dec.child_colors], dec.child_primes))
-        for dec in enumerate_cell_configs(k, color)
-    ):
-        node = root
-        for overline, prime in seq:
-            if not node or node[-1][:2] != [overline, prime]:
-                node.append([overline, prime, RED if overline else BLACK, []])
-            node = node[-1][3]
-    return root
 
 
 def _walk(
@@ -165,11 +142,14 @@ def _walk(
 
     Codes compare token by token as (value, overline, prime), so position
     i runs through its values in ascending order and, for each value,
-    through the decorations its parent cell still allows.  The parent and
-    its block size are already fixed, since parents come first in level
-    order.  Every prefix extends to a code: value i < n ranges over
-    [max(0, i+1-placed), n-placed], the last value is 0 and every trie
-    node is non-empty.  So the walk meets no dead ends.
+    through the decorations its parent cell still allows: the first child
+    of a block starts at the cell automaton's start node for the parent's
+    color, each later child at the node its left sibling led to.  The
+    parent and its block size are already fixed, since parents come first
+    in level order.  Every prefix extends to a code: value i < n ranges
+    over [max(0, i+1-placed), n-placed], the last value is 0, and every
+    automaton node has an option and accepts, so a block may end after
+    any child.  So the walk meets no dead ends.
     """
     if n < 0:
         raise ValueError("separatrix count is non-negative")
@@ -193,7 +173,7 @@ def _walk(
                     p += 1
                 parents[i] = p
                 if i == placed[p] + 1:
-                    nodes[i] = _cell_trie(values[p], nodes[p][picks[p]][2])
+                    nodes[i] = CELL_AUTOMATON[nodes[p][picks[p]][2]]
                 else:
                     nodes[i] = nodes[i - 1][picks[i - 1]][3]
             overline, prime = nodes[i][0][:2]

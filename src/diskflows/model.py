@@ -260,42 +260,17 @@ def cell_config_count(n: int) -> int:
     return (n + 1) * (n + 2) // 2
 
 
-def polar_boundary(n: int, source: int, sink: int) -> CellBoundary:
-    """The boundary forced by a source corner and a sink corner.
-
-    Sides strictly after the source up to and including the sink (walking
-    positively) carry +1; the rest carry -1.
-    """
-    m = n + 1
-    if not (0 <= source < m and 0 <= sink < m):
-        raise ValueError("corner index out of range")
-    if source == sink:
-        raise ValueError("source and sink corners are distinct")
-    d = [0] * m
-    i = (source + 1) % m
-    while True:
-        d[i] = 1
-        if i == sink:
-            break
-        i = (i + 1) % m
-    i = (sink + 1) % m
-    while True:
-        d[i] = -1
-        if i == source:
-            break
-        i = (i + 1) % m
-    return CellBoundary(tuple(d))
-
-
 @lru_cache(maxsize=None)
 def enumerate_cell_configs(n: int, lower_direction: int) -> tuple[CellDecoration, ...]:
     """All configurations of a cell with n inner loops whose side 0 has
     the given direction, sorted by the forced (colors, primes) pair.
 
     Cyclic configurations force the opposite color -d_0 on every inner
-    loop and prime the entered loop when it is an inner one.  Polar
-    configurations force colors from the pattern of the (source, sink)
-    pair and never prime.
+    loop and prime the entered loop when it is an inner one.  A polar
+    configuration runs the sides first..last (1 <= first <= last <= n)
+    against side 0, so those loops take the color d_0 and the rest -d_0,
+    and never primes.  The run is bounded by corners first-1 and last:
+    the source is the one where the flow turns from -1 to +1.
     """
     if lower_direction not in (1, -1):
         raise ValueError("lower direction must be +1 or -1")
@@ -307,14 +282,46 @@ def enumerate_cell_configs(n: int, lower_direction: int) -> tuple[CellDecoration
     for entry in range(n + 1):
         primes = tuple(i == entry - 1 for i in range(n))
         out.append(CellDecoration(CyclicCell(entry), (inner_color,) * n, primes))
-    for source in range(n + 1):
-        for sink in range(n + 1):
-            if source == sink:
-                continue
-            d = polar_boundary(n, source, sink).sides
-            if d[0] != lower_direction:
-                continue
-            colors = tuple(-d[i] for i in range(1, n + 1))
-            out.append(CellDecoration(PolarCell(source, sink), colors, no_primes))
+    for first in range(1, n + 1):
+        for last in range(first, n + 1):
+            colors = tuple(
+                lower_direction if first <= i <= last else inner_color
+                for i in range(1, n + 1)
+            )
+            if lower_direction == 1:
+                config = PolarCell(last, first - 1)
+            else:
+                config = PolarCell(first - 1, last)
+            out.append(CellDecoration(config, colors, no_primes))
     out.sort(key=lambda dec: (dec.child_colors, dec.child_primes))
     return tuple(out)
+
+
+def _cell_automaton(color: int) -> list:
+    """Start node of the automaton that reads a cell's child decorations
+    in token order; ``color`` is the color of the cell's own vertex.
+
+    A node lists the options for the next child as [overline, prime,
+    color, next node].  "Same" is the cyclic mark, overline exactly when
+    ``color`` is BLACK; "opposite" runs against side 0.  start: same
+    stays, same and primed goes to back, opposite goes to away.  away
+    (inside the polar run): opposite stays, same goes to back.  back: same
+    only.  Every node accepts, so a cell may end after any child.
+    """
+    same = color == BLACK
+    start, away, back = [], [], []
+    for node, options in (
+        (start, [(same, False, start), (same, True, back), (not same, False, away)]),
+        (away, [(not same, False, away), (same, False, back)]),
+        (back, [(same, False, back)]),
+    ):
+        node.extend(
+            [overline, prime, RED if overline else BLACK, nxt]
+            for overline, prime, nxt in sorted(options, key=lambda o: o[:2])
+        )
+    return start
+
+
+#: Start node of the cell automaton, by the color of the cell's vertex;
+#: shared by every walk and never modified.
+CELL_AUTOMATON = {color: _cell_automaton(color) for color in (BLACK, RED)}

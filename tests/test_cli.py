@@ -198,6 +198,40 @@ def test_encode_rejects_a_vertex_that_is_its_own_child(name, tmp_path, capsys):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", ["validate", "decode", "render"])
+def test_a_token_of_thousands_of_digits_is_a_syntax_error(command, capsys):
+    rc, out, err = run(capsys, command, "9" * 5000 + " 0")
+    assert rc == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: bad code: token value of 5000 digits")
+
+
+def test_leading_zeros_do_not_count_against_the_digit_limit(capsys):
+    rc, out, err = run(capsys, "validate", "0" * 5000 + "1 0")
+    assert rc == EXIT_OK
+    assert out.startswith("code: 10\n")
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["[" * 200_000 + "]" * 200_000, '{"separatrices": ' + "9" * 5000 + "}"],
+    ids=["deep nesting", "huge int"],
+)
+def test_encode_reports_unreadable_json_without_a_traceback(text, tmp_path):
+    path = tmp_path / "graph.json"
+    path.write_text(text)
+    proc = subprocess.run(
+        [sys.executable, "-m", "diskflows.cli", "encode", str(path)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: invalid JSON: ")
+    assert "Traceback" not in proc.stderr
+
+
 def _limit_address_space():
     limit = 1536 * 2**20
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))

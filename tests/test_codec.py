@@ -177,6 +177,15 @@ def test_lone_multidigit_token_reads_back_as_compact_digits():
     assert tokens_of(text) == [(1, False, False), (2, False, False)]
 
 
+def test_token_digits_are_bounded_before_conversion():
+    # Past 4300 digits int() itself raises a plain ValueError.
+    assert parse_code("0" * 5000 + "1 0") == parse_code("1 0")
+    assert parse_code("0" * 20 + "4294967295 0").tokens[0].value == 4294967295
+    for digits in ("1" * 11, "9" * 5000, "0" * 5000 + "4294967296"):
+        with pytest.raises(CodeSyntaxError, match="out of range"):
+            parse_code(digits + " 0")
+
+
 @given(st.text(max_size=12))
 def test_parse_never_raises_anything_but_syntax_errors(text):
     try:

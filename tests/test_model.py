@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from diskflows.codec import code_to_graph, parse_code
 from diskflows.model import (
     BLACK,
+    CELL_AUTOMATON,
     RED,
     CellBoundary,
     CellKind,
@@ -22,9 +24,8 @@ from diskflows.model import (
     cell_config_count,
     classify_cell,
     enumerate_cell_configs,
-    polar_boundary,
 )
-from diskflows.oracle import _corners
+from diskflows.oracle import _corners, oracle_cell_configs
 
 
 def graph_of(text: str) -> DistinguishedGraph:
@@ -190,27 +191,6 @@ def test_boundary_census_matches_count_split():
             assert kinds.count(CellKind.POLAR) == n * (n + 1) // 2
 
 
-def test_polar_boundary_places_single_source_and_sink():
-    corners = _corners(polar_boundary(3, source=1, sink=2).sides)
-    assert corners == ["hyperbolic", "source", "sink", "hyperbolic"]
-
-
-def test_polar_boundary_covers_all_corner_pairs():
-    n = 4
-    seen = set()
-    for source in range(n + 1):
-        for sink in range(n + 1):
-            if source == sink:
-                continue
-            sides = polar_boundary(n, source, sink)
-            corners = _corners(sides.sides)
-            assert corners[source] == "source"
-            assert corners[sink] == "sink"
-            seen.add(sides)
-    # every ordered corner pair forces a different boundary word
-    assert len(seen) == n * (n + 1)
-
-
 def test_enumerate_configs_one_child():
     configs = enumerate_cell_configs(1, 1)
     rows = [(d.child_colors, d.child_primes, d.config) for d in configs]
@@ -253,6 +233,56 @@ def test_enumerate_configs_sorted_count_and_kinds(n, lower):
             assert deco.child_primes == (False,) * n
             sides = (lower,) + tuple(-c for c in deco.child_colors)
             assert classify_cell(CellBoundary(sides)) is CellKind.POLAR
+
+
+# sha256 of repr(enumerate_cell_configs(k, lower)) for k = 0..12 and
+# lower = 1, -1, in that order, as the corner-pair search computed them.
+CELL_CONFIGS_SHA256 = "df24e048874bedccb72f289b9d4fb060f3b6869b25b059e7ed2612da4c502b68"
+
+
+def test_cell_configs_to_twelve_children_are_unchanged():
+    digest = hashlib.sha256()
+    for k in range(13):
+        for lower in (1, -1):
+            digest.update(repr(enumerate_cell_configs(k, lower)).encode())
+    assert digest.hexdigest() == CELL_CONFIGS_SHA256
+
+
+def _automaton_paths(node, k):
+    """Every sequence of k (overline, prime) options from ``node``, in the
+    order the walk takes them."""
+    if k == 0:
+        return [()]
+    return [
+        ((overline, prime),) + rest
+        for overline, prime, _color, nxt in node
+        for rest in _automaton_paths(nxt, k - 1)
+    ]
+
+
+@pytest.mark.parametrize("color", [BLACK, RED])
+@pytest.mark.parametrize("k", range(9))
+def test_cell_automaton_reads_the_oracle_configs_in_token_order(k, color):
+    expected = sorted(
+        tuple(zip([c == RED for c in dec.child_colors], dec.child_primes))
+        for dec in oracle_cell_configs(k, color)
+    )
+    assert _automaton_paths(CELL_AUTOMATON[color], k) == expected
+
+
+@pytest.mark.parametrize("color", [BLACK, RED])
+def test_cell_automaton_has_three_states(color):
+    seen = {}
+    todo = [CELL_AUTOMATON[color]]
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            assert node, "every state has an option"
+            for overline, prime, child_color, nxt in node:
+                assert child_color == (RED if overline else BLACK)
+                todo.append(nxt)
+    assert len(seen) == 3
 
 
 # ---------------------------------------------------------------------------
