@@ -10,11 +10,12 @@ reversed loop) and the stroke becomes 'e' (the marked elliptic entry).
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from pathlib import Path
 
 from diskflows.codec import code_to_graph, serialize_code
-from diskflows.enumeration import enumerate_flows
+from diskflows.enumeration import iter_flows
 from diskflows.render import diagram_to_svg, tree_to_dot
 
 
@@ -35,21 +36,21 @@ def main(argv: list[str]) -> int:
         "--limit", type=int, default=None, help="render at most this many codes"
     )
     args = parser.parse_args(argv)
+    if args.limit is not None and args.limit < 0:
+        parser.error("--limit must be non-negative")
 
-    codes = enumerate_flows(args.n)
-    if args.limit is not None:
-        codes = codes[: args.limit]
     args.out.mkdir(parents=True, exist_ok=True)
-
-    for code in codes:
+    rendered = 0
+    for code in itertools.islice(iter_flows(args.n), args.limit):
         text = serialize_code(code)
         graph = code_to_graph(code)
         stem = file_stem(text)
         (args.out / f"{stem}.svg").write_text(diagram_to_svg(graph))
         if args.dot:
             (args.out / f"{stem}.dot").write_text(tree_to_dot(graph))
+        rendered += 1
     kinds = "SVG and DOT files" if args.dot else "SVG files"
-    print(f"rendered {len(codes)} codes at n={args.n} as {kinds} in {args.out}")
+    print(f"rendered {rendered} codes at n={args.n} as {kinds} in {args.out}")
     return 0
 
 

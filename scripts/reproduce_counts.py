@@ -14,7 +14,6 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 from diskflows.codec import serialize_code
@@ -28,15 +27,7 @@ from diskflows.enumeration import (
 from diskflows.oracle import DEFAULT_BOUND, oracle_enumerate
 
 
-@dataclass
-class Job:
-    out_dir: Path
-    max_n: int
-    list_max_n: int
-    oracle_max_n: int
-
-
-def parse_args(argv: list[str]) -> Job:
+def parse_args(argv: list[str]) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--out", type=Path, default=Path("results"), help="output directory"
@@ -56,24 +47,18 @@ def parse_args(argv: list[str]) -> Job:
         default=DEFAULT_BOUND,
         help="largest n cross-checked by the brute-force oracle",
     )
-    args = parser.parse_args(argv)
-    return Job(
-        out_dir=args.out,
-        max_n=args.max_n,
-        list_max_n=args.list_max_n,
-        oracle_max_n=args.oracle_max_n,
-    )
+    return parser.parse_args(argv)
 
 
-def write_counts(job: Job) -> None:
-    path = job.out_dir / "counts.csv"
-    product_sums = [0] * (job.max_n + 1)
-    for row in table_rows(job.max_n):
+def write_counts(args: argparse.Namespace) -> None:
+    path = args.out / "counts.csv"
+    product_sums = [0] * (args.max_n + 1)
+    for row in table_rows(args.max_n):
         product_sums[row.n] += row.total
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["n", "count", "streamed", "product_sum", "seconds"])
-        for n in range(job.max_n + 1):
+        for n in range(args.max_n + 1):
             started = time.perf_counter()
             streamed = sum(1 for _ in iter_flows(n))
             elapsed = time.perf_counter() - started
@@ -88,24 +73,24 @@ def write_counts(job: Job) -> None:
     print(f"wrote {path}")
 
 
-def write_class_table(job: Job) -> None:
-    path = job.out_dir / "class_table.csv"
-    path.write_text(table_to_csv(table_rows(min(job.max_n, 5))))
+def write_class_table(args: argparse.Namespace) -> None:
+    path = args.out / "class_table.csv"
+    path.write_text(table_to_csv(table_rows(min(args.max_n, 5))))
     print(f"wrote {path}")
 
 
-def write_code_lists(job: Job) -> None:
-    for n in range(job.list_max_n + 1):
-        path = job.out_dir / f"codes_n{n}.txt"
+def write_code_lists(args: argparse.Namespace) -> None:
+    for n in range(args.list_max_n + 1):
+        path = args.out / f"codes_n{n}.txt"
         with path.open("w") as handle:
             handle.writelines(f"{text}\n" for text in iter_code_texts(n))
         print(f"wrote {path}")
 
 
-def write_oracle_reports(job: Job) -> None:
-    for n in range(job.oracle_max_n + 1):
-        codes, report = oracle_enumerate(n, bound=job.oracle_max_n)
-        path = job.out_dir / f"oracle_n{n}.json"
+def write_oracle_reports(args: argparse.Namespace) -> None:
+    for n in range(args.oracle_max_n + 1):
+        codes, report = oracle_enumerate(n, bound=args.oracle_max_n)
+        path = args.out / f"oracle_n{n}.json"
         path.write_text(json.dumps(report.to_json_dict(), indent=2) + "\n")
         status = "agrees" if report.agrees else "DISAGREES"
         print(
@@ -117,16 +102,16 @@ def write_oracle_reports(job: Job) -> None:
                 serialize_code(w) for w in report.witnesses[:5]
             )
             print(f"  witnesses: {sample}" + (" ..." if len(report.witnesses) > 5 else ""))
-    print(f"wrote oracle reports to {job.out_dir}")
+    print(f"wrote oracle reports to {args.out}")
 
 
 def main(argv: list[str]) -> int:
-    job = parse_args(argv)
-    job.out_dir.mkdir(parents=True, exist_ok=True)
-    write_counts(job)
-    write_class_table(job)
-    write_code_lists(job)
-    write_oracle_reports(job)
+    args = parse_args(argv)
+    args.out.mkdir(parents=True, exist_ok=True)
+    write_counts(args)
+    write_class_table(args)
+    write_code_lists(args)
+    write_oracle_reports(args)
     return 0
 
 

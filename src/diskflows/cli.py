@@ -90,11 +90,11 @@ def _parse_arg_code(text: str) -> Code:
         raise _UsageError(f"bad code: {exc}")
 
 
-def _check_n(n: int, cap: int) -> None:
+def _check_n(n: int, cap: int, remedy: str) -> None:
     if n < 0:
         raise _UsageError("n is non-negative")
     if n > cap:
-        raise _UsageError(f"n={n} exceeds the cap {cap}; raise it with --cap")
+        raise _UsageError(f"n={n} exceeds the cap {cap}; {remedy}")
 
 
 # ----------------------------------------------------------------------
@@ -160,7 +160,7 @@ def _cmd_enum(args) -> int:
             raise _UsageError(f"--count-only takes n from 0 up to {COUNT_MAX_N}")
         _write_or_print(f"{count_flows(args.n)}\n", args.out)
         return EXIT_OK
-    _check_n(args.n, args.cap)
+    _check_n(args.n, args.cap, "raise it with --cap")
     texts = iter_code_texts(args.n)
     with _output(args.out) as fh:
         while chunk := list(itertools.islice(texts, ENUM_CHUNK)):
@@ -169,7 +169,7 @@ def _cmd_enum(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    _check_n(args.max_n, DEFAULT_CAP)
+    _check_n(args.max_n, DEFAULT_CAP, "table stops there")
     text = table_to_csv(table_rows(args.max_n))
     _write_or_print(text, args.csv)
     return EXIT_OK
@@ -190,11 +190,12 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    _check_n(args.n, DEFAULT_CAP)
-    try:
-        _, report = oracle_enumerate(args.n, bound=args.bound)
-    except ValueError as exc:
-        return _fail(str(exc))
+    _check_n(args.n, DEFAULT_CAP, "oracle stops there")
+    if args.n > args.bound:
+        raise _UsageError(
+            f"oracle bound exceeded: n={args.n} > {args.bound}; raise it with --bound"
+        )
+    _, report = oracle_enumerate(args.n, bound=args.bound)
     sys.stdout.write(report.to_text())
     if args.json is not None:
         with open(args.json, "w", encoding="utf-8") as fh:

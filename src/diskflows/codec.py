@@ -26,17 +26,18 @@ Admissibility is necessary but not sufficient: a code is *realizable*
 decoded tree has a boundary with two or more source corners.  See
 :func:`check_realizable`, which is the authoritative test.
 
-Both checks are one linear scan of the tokens in level order: the
-values are summed once, the prefix sums stop at the last token, and each
-cell's source corners are counted from the marks of its own token and
-its block of children.  No tree is built, and the cost depends on the
-length of the code, never on the size of its values.
+Both checks are one linear scan of the tokens in level order, the body
+of :func:`check_realizable`: the values are summed once, the prefix sums
+stop at the last token, and each cell's source corners are counted from
+the marks of its own token and its block of children.  No tree is
+built, and the cost depends on the length of the code, never on the
+size of its values.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .model import (
@@ -183,10 +184,10 @@ class PropertyCheck:
 @dataclass(frozen=True)
 class AdmissibilityReport:
     checks: tuple[PropertyCheck, PropertyCheck, PropertyCheck, PropertyCheck]
+    passed: bool = field(init=False, repr=False, compare=False)
 
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "passed", all(c.passed for c in self.checks))
 
     @property
     def failing(self) -> tuple[int, ...]:
@@ -207,12 +208,18 @@ _PASS = PropertyCheck(True)
 _NOT_EVALUATED = PropertyCheck(True, None, "not evaluated: values do not form a tree")
 
 
-def _scan(code: Code):
-    """The one validation pass over the tokens in level order.
+def check_admissible(code: Code) -> AdmissibilityReport:
+    """Check the four necessary code properties."""
+    return check_realizable(code).admissible
 
-    Returns the four property checks of :func:`check_admissible` and the
-    first cell with two or more source corners as ``(vertex, sides,
-    sources)``, sides as booleans (True for +1), or None.  No tree is
+
+def check_realizable(code: Code) -> ValidationReport:
+    """Authoritative validity test: admissible and every cell of the
+    decoded tree is cyclic or polar, with primes only in cyclic cells.
+
+    This is the one validation pass, over the tokens in level order.  It
+    checks the four properties of :func:`check_admissible`, then reports
+    the first cell with two or more source corners, if any.  No tree is
     built: the children of vertex v are the next ``value(v)`` tokens.
     """
     tokens = code.tokens
@@ -242,19 +249,19 @@ def _scan(code: Code):
                 f"sum of the first {k} values is {prefix}, needs >= {k}",
             )
             break
-    if not (length.passed and prefixes.passed):
-        return (length, marks, prefixes, _NOT_EVALUATED), None
 
-    # The values form a tree.  Cell v has side 0 of direction color(v)
-    # (+1 at the root) and side i of direction -color(child i), which is
-    # +1 exactly on an overlined child.  Property 4 makes every cell with
-    # a primed child coherent, so a prime never sits in a polar cell.
+    # The blocks are read only when the values form a tree.  Cell v has
+    # side 0 of direction color(v) (+1 at the root) and side i of
+    # direction -color(child i), which is +1 exactly on an overlined
+    # child.  Property 4 makes every cell with a primed child coherent,
+    # so a prime never sits in a polar cell.
     overlines = [t.overline for t in tokens]
     primes = [t.prime for t in tokens]
-    groups = _PASS
+    tree = length.passed and prefixes.passed
+    groups = _PASS if tree else _NOT_EVALUATED
     bad_cell = None
     nxt = 1
-    for v, d in enumerate(values):
+    for v, d in enumerate(values if tree else ()):
         if not d:
             continue
         end = nxt + d
@@ -281,19 +288,7 @@ def _scan(code: Code):
             if sources > 1:
                 bad_cell = (v, sides, sources)
         nxt = end
-    return (length, marks, prefixes, groups), bad_cell
-
-
-def check_admissible(code: Code) -> AdmissibilityReport:
-    """Check the four necessary code properties."""
-    return AdmissibilityReport(_scan(code)[0])
-
-
-def check_realizable(code: Code) -> ValidationReport:
-    """Authoritative validity test: admissible and every cell of the
-    decoded tree is cyclic or polar, with primes only in cyclic cells."""
-    checks, bad_cell = _scan(code)
-    adm = AdmissibilityReport(checks)
+    adm = AdmissibilityReport((length, marks, prefixes, groups))
     if not adm.passed:
         return ValidationReport(
             adm, False, detail="fails necessary code properties " + str(adm.failing)

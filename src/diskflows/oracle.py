@@ -3,8 +3,8 @@
 Everything here recomputes results from first principles: cell
 configurations by trying all 2**n colorings of the inner loops and
 typing every corner of the resulting boundary, and flow classes by
-decorating every plane tree with every coloring and every placement of
-at most one prime per sibling block, keeping what the authoritative
+decorating every plane tree, one sibling block at a time, with every
+coloring and at most one prime per block, keeping what the authoritative
 validator accepts.  Property 4 of a code rejects two primes in one
 block, so no other placement can be realizable or even admissible.
 Plane trees are regenerated here too, by recursive composition rather
@@ -100,22 +100,27 @@ def _nested_up_degrees(nested) -> tuple[int, ...]:
     return tuple(seq)
 
 
-def _prime_placements(values: tuple[int, ...]):
-    """Every way to prime at most one child of each sibling block, as one
-    flag per vertex: for each block, no prime or one of its d children,
-    so prod(d + 1) placements in all."""
-    blocks = []
+def _block_decorations(values: tuple[int, ...]):
+    """For each sibling block in level order, every decoration of its d
+    children as token tuples: each child plain or overlined, with no
+    prime or exactly one primed child, 2**d * (d + 1) tuples."""
     nxt = 1
     for d in values:
         if d:
-            blocks.append((None,) + tuple(range(nxt, nxt + d)))
+            # tokens[c][p]: child c's tokens, plain and overlined, primed if p.
+            tokens = [
+                [(cached_token(k, False, p), cached_token(k, True, p))
+                 for p in (False, True)]
+                for k in values[nxt:nxt + d]
+            ]
             nxt += d
-    for chosen in itertools.product(*blocks):
-        primed = [False] * len(values)
-        for v in chosen:
-            if v is not None:
-                primed[v] = True
-        yield primed
+            yield [
+                tail
+                for primed in range(-1, d)  # -1: no child primed
+                for tail in itertools.product(
+                    *(t[c == primed] for c, t in enumerate(tokens))
+                )
+            ]
 
 
 @dataclass(frozen=True)
@@ -157,15 +162,19 @@ def oracle_enumerate(n: int, *, bound: int = DEFAULT_BOUND) -> tuple[set[Code], 
     """Realizable codes with n separatrices, found by filtering decorations
     of every tree through the validator.
 
-    Each tree with up-degrees d_v is tried with every coloring and every
-    placement of at most one prime per sibling block: 2**n * prod(d_v + 1)
-    candidates, C(3n+1, n)/(n+1) * 2**n over all trees (23,296 at n = 5,
-    248,064 at n = 6).  The first clause of property 4 rejects every
-    other prime placement, so leaving them out changes neither the
-    realizable set nor the admissible ones.  The count still grows
-    exponentially, hence the bound (raise it to 6 if you can wait a few
-    seconds).  Also tallies the codes that pass the four necessary
-    properties yet fail realizability, returning them as witnesses.
+    Each tree is tried as one product of its sibling blocks'
+    decorations; a block of d children has 2**d * (d + 1), every
+    coloring with no prime or one primed child.  That makes
+    2**n * prod(d_v + 1) candidates for a tree with up-degrees d_v, and
+    C(3n+1, n)/(n+1) * 2**n over all trees (23,296 at n = 5, 248,064 at
+    n = 6), each sent through :func:`check_realizable`; the witnesses
+    are sorted, so the order of trial does not show.  The first clause
+    of property 4 rejects every other prime placement, so leaving them
+    out changes neither the realizable set nor the admissible ones.  The
+    count still grows exponentially, hence the bound (raise it to 6 if
+    you can wait a few seconds).  Also tallies the codes that pass the
+    four necessary properties yet fail realizability, returning them as
+    witnesses.
     """
     if n < 0:
         raise ValueError("separatrix count is non-negative")
@@ -177,23 +186,16 @@ def oracle_enumerate(n: int, *, bound: int = DEFAULT_BOUND) -> tuple[set[Code], 
     for nested in _nested_trees(n):
         values = _nested_up_degrees(nested)
         root = (cached_token(values[0], False, False),)
-        # pairs[p][v]: vertex v's tokens without and with an overline.
-        pairs = [
-            [(cached_token(d, False, p), cached_token(d, True, p)) for d in values]
-            for p in (False, True)
-        ]
-        for primed in _prime_placements(values):
-            choices = [pairs[primed[v]][v] for v in range(1, n + 1)]
-            for tail in itertools.product(*choices):
-                code = Code(root + tail)
-                report = check_realizable(code)
-                if not report.admissible.passed:
-                    continue
-                admissible_total += 1
-                if report.realizable:
-                    realizable.add(code)
-                else:
-                    witnesses.append(code)
+        for picks in itertools.product(*_block_decorations(values)):
+            code = Code(sum(picks, root))  # the root, then each block's pick
+            report = check_realizable(code)
+            if not report.admissible.passed:
+                continue
+            admissible_total += 1
+            if report.realizable:
+                realizable.add(code)
+            else:
+                witnesses.append(code)
     witnesses.sort()
     report = DiscrepancyReport(
         n=n,

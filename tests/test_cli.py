@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import resource
@@ -410,6 +411,36 @@ def test_oracle_respects_bound(capsys):
     rc, _, err = run(capsys, "oracle", "--n", "6")
     assert rc == 1
     assert "error:" in err
+
+
+def test_oracle_bound_error_names_the_flag(capsys):
+    rc, _, err = run(capsys, "oracle", "--n", "6")
+    assert rc == 1
+    assert err == "error: oracle bound exceeded: n=6 > 5; raise it with --bound\n"
+
+
+@pytest.mark.parametrize(
+    "argv", [("table", "--max-n", "11"), ("oracle", "--n", "11", "--bound", "11")], ids=" ".join
+)
+def test_commands_without_a_cap_flag_do_not_offer_one(argv, capsys):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 1
+    assert out == ""
+    assert err == f"error: n=11 exceeds the cap 10; {argv[0]} stops there\n"
+    assert "--cap" not in err
+
+
+# sha256 of `oracle --n 5` stdout and of its --json file.
+ORACLE_N5_TEXT_SHA256 = "ea429687eb5a31ae410930705e6defbadb935b055982836250f530db695a0961"
+ORACLE_N5_JSON_SHA256 = "763b621cc88c15b943a04fadd3d7a61ae191cdefddcff7c4a4e0e57d7a7e0a8b"
+
+
+def test_oracle_report_bytes_at_five_loops_are_pinned(tmp_path, capsys):
+    target = tmp_path / "report.json"
+    rc, out, _ = run(capsys, "oracle", "--n", "5", "--json", str(target))
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ORACLE_N5_TEXT_SHA256
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == ORACLE_N5_JSON_SHA256
 
 
 # ---------------------------------------------------------------------------

@@ -245,6 +245,26 @@ def test_prime_group_check_skipped_when_tree_is_undecodable():
     assert "not evaluated" in report.checks[3].detail
 
 
+@pytest.mark.parametrize("text", ["2 0'", "4294967295 0'"])
+def test_sibling_blocks_are_not_read_when_values_overrun_the_code(text):
+    # The root claims more children than there are tokens; reading its
+    # block would index past the end, or loop over the claimed value.
+    report = check_realizable(parse_code(text))
+    assert report.admissible.failing == (1,)
+    assert "not evaluated" in report.admissible.checks[3].detail
+
+
+@pytest.mark.parametrize(
+    "text", ["2100~", "300~0", "1 0 0", "0 0'", "2 0~' 0", "20~'0~'", "20~'0~", "1 1"]
+)
+def test_admissibility_is_the_first_part_of_the_one_scan(text):
+    code = parse_code(text)
+    report = check_admissible(code)
+    assert report == check_realizable(code).admissible
+    # The verdict is stored with the report, not recomputed on each read.
+    assert vars(report)["passed"] == all(c.passed for c in report.checks)
+
+
 # ---------------------------------------------------------------------------
 # Realizability (tier two)
 

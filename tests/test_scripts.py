@@ -1,0 +1,62 @@
+"""The scripts in scripts/, run as a user runs them."""
+
+from __future__ import annotations
+
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
+from diskflows.codec import serialize_code
+from diskflows.enumeration import iter_flows
+
+ROOT = Path(__file__).resolve().parents[1]
+GALLERY = ROOT / "scripts" / "render_gallery.py"
+
+
+def _limit_address_space():
+    limit = 1536 * 2**20
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def _gallery(*argv: str, **kwargs) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, str(GALLERY), *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        **kwargs,
+    )
+
+
+def test_gallery_renders_the_first_codes_in_order(tmp_path):
+    proc = _gallery("--n", "3", "--limit", "5", "--dot", "--out", str(tmp_path), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"rendered 5 codes at n=3 as SVG and DOT files in {tmp_path}\n"
+    first = [serialize_code(c) for _, c in zip(range(5), iter_flows(3))]
+    stems = {t.replace("~", "r").replace("'", "e") for t in first}
+    assert {p.name for p in tmp_path.iterdir()} == {
+        f"{stem}.{ext}" for stem in stems for ext in ("svg", "dot")
+    }
+
+
+def test_gallery_streams_instead_of_listing_every_code(tmp_path):
+    # n = 9 has 16.3 million codes; listing them all needs about 2.4 GB.
+    # A separate process under a 1.5 GB address limit, so that listing
+    # fails there instead of in the test run.
+    proc = _gallery(
+        "--n", "9", "--limit", "2", "--out", str(tmp_path),
+        timeout=20, preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("rendered 2 codes at n=9 ")
+    assert len(list(tmp_path.glob("*.svg"))) == 2
+
+
+def test_gallery_rejects_a_negative_limit(tmp_path):
+    proc = _gallery("--n", "3", "--limit", "-1", "--out", str(tmp_path), timeout=60)
+    assert proc.returncode == 2
+    assert "--limit must be non-negative" in proc.stderr
+    assert list(tmp_path.iterdir()) == []
