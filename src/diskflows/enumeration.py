@@ -2,7 +2,8 @@
 
 A level-order up-degree sequence describes a plane rooted tree exactly
 when its values sum to one less than its length and every prefix of k
-values sums to at least k.  Trees are generated directly in that form.
+values sums to at least k.  The walk that lists the codes lists these
+sequences too when every cell takes one plain decoration.
 Decorating a tree is independent cell by cell: each vertex with k
 children contributes a factor (k+1)(k+2)/2, so the classes over one tree
 are counted by a product formula.  Summed over all trees, the count has
@@ -19,12 +20,13 @@ walk is a lexicographic generator without dead ends (Ruskey,
 step, since each step changes only a suffix of the code.  The decorations
 a cell allows come from :data:`~diskflows.model.CELL_AUTOMATON`, three
 states per parent color whatever the cell's size.  That one walk,
-:func:`_walk`, takes the factory that makes each token.  :func:`iter_flows`
-passes the interned :class:`~diskflows.codec.CodeToken` constructor and
-builds a :class:`~diskflows.codec.Code` per step.  :func:`iter_code_texts`,
-the listing path of ``diskflows enum``, passes a table of token texts
-cached per stream and joins each code's texts, so only the tokens of the
-changed suffix are made anew and no code object is built.
+:func:`_walk`, takes the automaton and the factory that makes each token.
+:func:`iter_flows` passes the interned :class:`~diskflows.codec.CodeToken`
+constructor and builds a :class:`~diskflows.codec.Code` per step.
+:func:`iter_code_texts`, the listing path of ``diskflows enum``, passes a
+table of token texts cached per stream and joins each code's texts, so
+only the tokens of the changed suffix are made anew and no code object
+is built.
 """
 
 from __future__ import annotations
@@ -42,31 +44,19 @@ from .model import BLACK, CELL_AUTOMATON, PlaneRootedTree, cell_config_count
 # plane trees and their isomorphism classes
 # ======================================================================
 
-def _up_degree_sequences(n: int):
-    """Level-order up-degree sequences of length n+1, descending lex."""
-    seq: list[int] = []
-
-    def rec(placed: int, k: int):
-        if k == n + 1:
-            if placed == n:
-                yield tuple(seq)
-            return
-        for d in range(n - placed, -1, -1):
-            new_sum = placed + d
-            if k + 1 <= n and new_sum < k + 1:
-                continue
-            seq.append(d)
-            yield from rec(new_sum, k + 1)
-            seq.pop()
-
-    yield from rec(0, 0)
+def _up_degree_sequences(n: int) -> Iterator[tuple[int, ...]]:
+    """Level-order up-degree sequences of length n+1, ascending lex."""
+    for values, _ in _walk(n, lambda *_: None, _PLAIN_AUTOMATON):
+        yield tuple(values)
 
 
 def plane_trees(n: int) -> list[PlaneRootedTree]:
     """All plane rooted trees with n edges, descending lex by up-degrees."""
     if n < 0:
         raise ValueError("edge count is non-negative")
-    return [PlaneRootedTree.from_up_degrees(s) for s in _up_degree_sequences(n)]
+    trees = [PlaneRootedTree.from_up_degrees(s) for s in _up_degree_sequences(n)]
+    trees.reverse()
+    return trees
 
 
 def _abstract_key(seq: tuple[int, ...]) -> tuple:
@@ -93,20 +83,19 @@ def abstract_classes(n: int) -> list[tuple[PlaneRootedTree, int]]:
     Returns (representative, embedding count) pairs, the representative
     being the member with the smallest up-degree sequence, sorted by
     that sequence.  The up-degree sequences of all plane trees are
-    grouped by :func:`_abstract_key`; they come in descending order, so
-    each group's last member is its representative, and only the
-    representatives are built as trees.
+    grouped by :func:`_abstract_key`; they come in ascending order, so
+    each group's first member is its representative, the groups are met
+    in the order of their representatives, and only the representatives
+    are built as trees.
     """
     if n < 0:
         raise ValueError("edge count is non-negative")
     groups: dict[tuple, list] = {}
     for seq in _up_degree_sequences(n):
-        group = groups.setdefault(_abstract_key(seq), [seq, 0])
-        group[0] = seq  # descending order: the last member is the least
-        group[1] += 1
+        groups.setdefault(_abstract_key(seq), [seq, 0])[1] += 1
     return [
         (PlaneRootedTree.from_up_degrees(seq), count)
-        for seq, count in sorted(groups.values())
+        for seq, count in groups.values()
     ]
 
 
@@ -127,12 +116,21 @@ def flows_per_tree(tree: PlaneRootedTree) -> int:
 # automaton's nodes: no marks and the boundary direction.
 _ROOT_NODE = [[False, False, BLACK, []]]
 
+# The plain automaton: one unmarked option per child, so the walk over
+# it lists each plane tree once, as a code without marks.
+_PLAIN: list = []
+_PLAIN.append([False, False, BLACK, _PLAIN])
+_PLAIN_AUTOMATON = {BLACK: _PLAIN}
+
 
 def _walk(
-    n: int, token: Callable[[int, bool, bool], object]
+    n: int,
+    token: Callable[[int, bool, bool], object],
+    automaton: dict[int, list] = CELL_AUTOMATON,
 ) -> Iterator[tuple[list, list]]:
-    """The one token walk behind :func:`iter_flows` and
-    :func:`iter_code_texts`.
+    """The one token walk behind :func:`iter_flows`,
+    :func:`iter_code_texts` and, over the plain automaton, the plane trees
+    of :func:`plane_trees` and :func:`abstract_classes`.
 
     Yields the same pair ``(values, tokens)`` for every code, both lists
     updated in place: ``values`` holds the code's values and ``tokens``
@@ -143,7 +141,7 @@ def _walk(
     Codes compare token by token as (value, overline, prime), so position
     i runs through its values in ascending order and, for each value,
     through the decorations its parent cell still allows: the first child
-    of a block starts at the cell automaton's start node for the parent's
+    of a block starts at ``automaton``'s start node for the parent's
     color, each later child at the node its left sibling led to.  The
     parent and its block size are already fixed, since parents come first
     in level order.  Every prefix extends to a code: value i < n ranges
@@ -173,7 +171,7 @@ def _walk(
                     p += 1
                 parents[i] = p
                 if i == placed[p] + 1:
-                    nodes[i] = CELL_AUTOMATON[nodes[p][picks[p]][2]]
+                    nodes[i] = automaton[nodes[p][picks[p]][2]]
                 else:
                     nodes[i] = nodes[i - 1][picks[i - 1]][3]
             overline, prime = nodes[i][0][:2]
@@ -239,7 +237,7 @@ def count_flows(n: int) -> int:
     """Number of flow classes with n separatrices: C(4n+2, n)/(n+1).
 
     Summing :func:`flows_per_tree` over :func:`plane_trees` gives the
-    same number and serves as its independent cross-check.
+    same number, a cross-check independent of the closed form.
     """
     if n < 0:
         raise ValueError("separatrix count is non-negative")

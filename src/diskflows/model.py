@@ -160,10 +160,6 @@ class DistinguishedGraph:
             if c not in (BLACK, RED):
                 raise ValueError(f"edge color must be +1 or -1, got {c!r}")
 
-    @property
-    def separatrix_count(self) -> int:
-        return self.tree.separatrix_count
-
 
 # ======================================================================
 # cell boundaries and corners

@@ -67,6 +67,7 @@ BUDGET = (18.0, 162.0)       # angular room for the top-level loops
 ROOT_RAYS = (6.0, 174.0)     # where the disk boundary counts as the root's side
 RHO0 = 0.42 * DISK_R         # radial extent of depth-1 loops
 DECAY = 0.72
+INDENT_DEPTH = 8             # deeper loops keep this indent: the SVG stays linear
 
 
 def _fmt(x: float) -> str:
@@ -188,7 +189,7 @@ def diagram_to_svg(graph: DistinguishedGraph) -> str:
     stack = [(c, 1, False) for c in reversed(tree.children[0])]
     while stack:
         v, depth, closing = stack.pop()
-        indent = "  " * (depth + 1)
+        indent = "  " * (min(depth, INDENT_DEPTH) + 1)
         if closing:
             lines.append(f"{indent}</g>")
             continue

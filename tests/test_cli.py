@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import resource
 import subprocess
 import sys
 import time
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diskflows.cli import (
     COUNT_MAX_N,
@@ -267,6 +272,25 @@ def test_decode_and_render_are_bounded_by_the_code_length(argv):
     assert elapsed < 1.0
 
 
+def test_svg_of_a_deep_code_grows_linearly(tmp_path):
+    # Nested loops indent once per level, up to a fixed depth; indenting
+    # every level would make this drawing about 1.6 GB.  A separate process
+    # under a 1.5 GB address limit, as above.
+    depth = 20_000
+    path = tmp_path / "deep.svg"
+    proc = subprocess.run(
+        [sys.executable, "-m", "diskflows.cli", "render", "1" * depth + "0",
+         "--view", "diagram", "--out", str(path)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stderr == ""
+    assert path.stat().st_size < 1024 * depth
+
+
 # ---------------------------------------------------------------------------
 # enum
 
@@ -474,3 +498,82 @@ def test_console_script_is_installed():
     )
     assert proc.returncode == 0
     assert "realizable: PASS" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: every input ends with a documented exit code
+
+
+EXIT_CODES = (EXIT_OK, EXIT_USAGE, EXIT_INADMISSIBLE, EXIT_UNREALIZABLE)
+
+
+def run_quietly(*argv: str, stdin: str = ""):
+    """``main`` with its output captured outside pytest's fixtures, which
+    hypothesis does not reset between examples.  An exception that escapes
+    ``main`` is a traceback and fails the test."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with mock.patch.object(sys, "stdin", io.StringIO(stdin)):
+            rc = main(list(argv))
+    return rc, out.getvalue(), err.getvalue()
+
+
+code_texts = st.text(alphabet="0123456789~' ", max_size=16)
+
+
+@settings(max_examples=150, deadline=2000)
+@given(
+    text=code_texts,
+    command=st.sampled_from(
+        [("validate",), ("decode",), ("render", "--view", "tree"),
+         ("render", "--view", "diagram")]
+    ),
+)
+def test_fuzzed_code_text_ends_with_a_documented_exit_code(text, command):
+    rc, _, err = run_quietly(command[0], text, *command[1:])
+    assert rc in EXIT_CODES
+    assert (rc == EXIT_USAGE) == err.startswith("error: ")
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+small = st.integers(-1, 5)
+vertices = st.integers(1, 5).flatmap(
+    lambda k: st.tuples(
+        *(
+            st.fixed_dictionaries(
+                {
+                    "id": st.just(i) | small,
+                    "parent": st.none() | small,
+                    "children": st.lists(small, max_size=3),
+                    "color": st.sampled_from([None, 1, -1, 0, True]),
+                    "prime": st.booleans() | st.none(),
+                }
+            )
+            for i in range(k)
+        )
+    )
+)
+graph_docs = st.fixed_dictionaries(
+    {
+        "separatrices": small,
+        "vertices": vertices.map(list) | st.lists(json_values, min_size=1, max_size=3),
+    }
+)
+
+
+@settings(max_examples=300, deadline=2000)
+@given(
+    text=st.one_of(
+        graph_docs.map(json.dumps), json_values.map(json.dumps), st.text(max_size=24)
+    )
+)
+def test_fuzzed_json_for_encode_ends_with_a_documented_exit_code(text):
+    rc, out, err = run_quietly("encode", "-", stdin=text)
+    assert rc in EXIT_CODES
+    assert (rc == EXIT_OK) == (out != "") == (err == "")
+    assert rc == EXIT_OK or err.startswith("error: ")

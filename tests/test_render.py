@@ -13,7 +13,7 @@ from diskflows.cli import main
 from diskflows.codec import code_to_graph, parse_code
 from diskflows.enumeration import enumerate_flows
 from diskflows.model import CellKind, boundary_directions, classify_cell
-from diskflows.render import diagram_to_svg, tree_to_dot
+from diskflows.render import INDENT_DEPTH, diagram_to_svg, tree_to_dot
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -165,5 +165,5 @@ def test_svg_of_a_deep_path_renders_without_recursion(tmp_path, capsys):
     assert capsys.readouterr().err == ""
     svg = path.read_text()
     assert svg.count('<g class="loop"') == svg.count("</g>") == depth
-    assert f'{"  " * (depth + 1)}<g class="loop" data-vertex="{depth}"' in svg
+    assert f'\n{"  " * (INDENT_DEPTH + 1)}<g class="loop" data-vertex="{depth}"' in svg
     assert svg.endswith("</svg>\n")

@@ -8,11 +8,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from diskflows.codec import serialize_code
 from diskflows.enumeration import iter_flows
 
 ROOT = Path(__file__).resolve().parents[1]
 GALLERY = ROOT / "scripts" / "render_gallery.py"
+REPRODUCE = ROOT / "scripts" / "reproduce_counts.py"
 
 
 def _limit_address_space():
@@ -20,15 +23,19 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
-def _gallery(*argv: str, **kwargs) -> subprocess.CompletedProcess:
+def _script(script: Path, *argv: str, **kwargs) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     return subprocess.run(
-        [sys.executable, str(GALLERY), *argv],
+        [sys.executable, str(script), *argv],
         capture_output=True,
         text=True,
         env=env,
         **kwargs,
     )
+
+
+def _gallery(*argv: str, **kwargs) -> subprocess.CompletedProcess:
+    return _script(GALLERY, *argv, **kwargs)
 
 
 def test_gallery_renders_the_first_codes_in_order(tmp_path):
@@ -60,3 +67,33 @@ def test_gallery_rejects_a_negative_limit(tmp_path):
     assert proc.returncode == 2
     assert "--limit must be non-negative" in proc.stderr
     assert list(tmp_path.iterdir()) == []
+
+
+def test_reproduced_counts_are_the_same_bytes_on_every_run(tmp_path):
+    argv = ("--max-n", "4", "--list-max-n", "2", "--oracle-max-n", "2")
+    first, second = tmp_path / "first", tmp_path / "second"
+    for out in (first, second):
+        proc = _script(REPRODUCE, *argv, "--out", str(out), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+    assert (first / "counts.csv").read_bytes() == (
+        b"n,count,streamed,product_sum\r\n"
+        b"0,1,1,1\r\n"
+        b"1,3,3,3\r\n"
+        b"2,15,15,15\r\n"
+        b"3,91,91,91\r\n"
+        b"4,612,612,612\r\n"
+    )
+    names = sorted(p.name for p in first.iterdir())
+    assert names == sorted(p.name for p in second.iterdir())
+    for name in names:
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("flag", ["--max-n", "--list-max-n", "--oracle-max-n"])
+def test_reproduce_rejects_a_negative_bound(flag, tmp_path):
+    out = tmp_path / "out"
+    proc = _script(REPRODUCE, flag, "-1", "--out", str(out), timeout=60)
+    assert proc.returncode == 2
+    assert f"{flag} must be non-negative" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
