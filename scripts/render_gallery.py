@@ -36,6 +36,8 @@ def main(argv: list[str]) -> int:
         "--limit", type=int, default=None, help="render at most this many codes"
     )
     args = parser.parse_args(argv)
+    if args.n < 0:
+        parser.error("--n must be non-negative")
     if args.limit is not None and args.limit < 0:
         parser.error("--limit must be non-negative")
 

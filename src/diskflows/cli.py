@@ -34,7 +34,7 @@ from .enumeration import (
     table_rows,
     table_to_csv,
 )
-from .oracle import oracle_enumerate
+from .oracle import DEFAULT_BOUND, oracle_enumerate
 from .render import diagram_to_svg, tree_to_dot
 
 EXIT_OK = 0
@@ -243,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="brute-force cross-check of the enumeration")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--bound", type=int, default=5)
+    p.add_argument("--bound", type=int, default=DEFAULT_BOUND)
     p.add_argument("--json", help="also write the report to this file")
     p.set_defaults(func=_cmd_oracle)
 

@@ -1,17 +1,17 @@
 """Exhaustive generation of flow classes and their counting table.
 
-A level-order up-degree sequence describes a plane rooted tree exactly
-when its values sum to one less than its length and every prefix of k
-values sums to at least k.  The walk that lists the codes lists these
-sequences too when every cell takes one plain decoration.
-Decorating a tree is independent cell by cell: each vertex with k
-children contributes a factor (k+1)(k+2)/2, so the classes over one tree
-are counted by a product formula.  Summed over all trees, the count has
-the closed form C(4n+2, n)/(n+1): the weights (k+1)(k+2)/2 give the
-generating function T = (1 - xT)^-3, and Lagrange inversion extracts its
-coefficients (Flajolet & Sedgewick, *Analytic Combinatorics*, I.5).
-:func:`count_flows` uses the closed form; the product formula, which the
-counting table still reports per tree, cross-checks it.
+Plane trees come from one generator, the first-subtree composition
+behind :func:`plane_trees`, which the oracle shares.  The classes of
+rooted trees are built directly, each once, from multisets of smaller
+classes, so the counting table lists no plane tree.  Decorating a tree
+is independent cell by cell: each vertex with k children contributes a
+factor (k+1)(k+2)/2, so the classes over one tree are counted by a
+product formula.  Summed over all trees, the count has the closed form
+C(4n+2, n)/(n+1): the weights (k+1)(k+2)/2 give the generating function
+T = (1 - xT)^-3, and Lagrange inversion extracts its coefficients
+(Flajolet & Sedgewick, *Analytic Combinatorics*, I.5).  :func:`count_flows`
+uses the closed form; the product formula, which the counting table
+reports once per class of trees, cross-checks it.
 
 :func:`iter_flows` lists the codes in sorted order by walking tokens, not
 trees, so codes over different trees interleave as sorting demands.  The
@@ -20,13 +20,13 @@ walk is a lexicographic generator without dead ends (Ruskey,
 step, since each step changes only a suffix of the code.  The decorations
 a cell allows come from :data:`~diskflows.model.CELL_AUTOMATON`, three
 states per parent color whatever the cell's size.  That one walk,
-:func:`_walk`, takes the automaton and the factory that makes each token.
-:func:`iter_flows` passes the interned :class:`~diskflows.codec.CodeToken`
-constructor and builds a :class:`~diskflows.codec.Code` per step.
-:func:`iter_code_texts`, the listing path of ``diskflows enum``, passes a
-table of token texts cached per stream and joins each code's texts, so
-only the tokens of the changed suffix are made anew and no code object
-is built.
+:func:`_walk`, lists codes only and takes the factory that makes each
+token.  :func:`iter_flows` passes the interned
+:class:`~diskflows.codec.CodeToken` constructor and builds a
+:class:`~diskflows.codec.Code` per step.  :func:`iter_code_texts`, the
+listing path of ``diskflows enum``, passes a table of token texts cached
+per stream and joins each code's texts, so only the tokens of the changed
+suffix are made anew and no code object is built.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import zip_longest
 
 from .codec import Code, CodeToken, cached_token, join_token_texts
 from .model import BLACK, CELL_AUTOMATON, PlaneRootedTree, cell_config_count
@@ -44,37 +45,73 @@ from .model import BLACK, CELL_AUTOMATON, PlaneRootedTree, cell_config_count
 # plane trees and their isomorphism classes
 # ======================================================================
 
-def _up_degree_sequences(n: int) -> Iterator[tuple[int, ...]]:
-    """Level-order up-degree sequences of length n+1, ascending lex."""
-    for values, _ in _walk(n, lambda *_: None, _PLAIN_AUTOMATON):
-        yield tuple(values)
+def _nested_trees(n: int):
+    """Plane trees with n edges as nested child tuples, by the standard
+    first-subtree decomposition: the one plane-tree generator."""
+    if n == 0:
+        yield ()
+        return
+    for k in range(1, n + 1):
+        for first in _nested_trees(k - 1):
+            for rest in _nested_trees(n - k):
+                yield (first,) + rest
+
+
+def _nested_up_degrees(nested) -> tuple[int, ...]:
+    queue = [nested]
+    for node in queue:  # level order: the loop reaches what it appends
+        queue.extend(node)
+    return tuple(map(len, queue))
 
 
 def plane_trees(n: int) -> list[PlaneRootedTree]:
     """All plane rooted trees with n edges, descending lex by up-degrees."""
     if n < 0:
         raise ValueError("edge count is non-negative")
-    trees = [PlaneRootedTree.from_up_degrees(s) for s in _up_degree_sequences(n)]
-    trees.reverse()
-    return trees
+    seqs = sorted(map(_nested_up_degrees, _nested_trees(n)), reverse=True)
+    return [PlaneRootedTree.from_up_degrees(s) for s in seqs]
 
 
-def _abstract_key(seq: tuple[int, ...]) -> tuple:
-    """Isomorphism key of the rooted tree with up-degree sequence ``seq``:
-    each vertex's key is the sorted tuple of its children's keys.
+def _forests(pool: list, budget: int, start: int = 0, run: int = 0,
+             kids: tuple = (), weight: int = 1) -> Iterator[tuple[tuple, int]]:
+    """Each multiset of ``pool``'s trees, ``(edges, levels, embeddings)``
+    by size, that adds ``budget`` edges: its trees' levels, and the
+    embeddings of a root over them, d!/prod(m!) times the trees' own for
+    d children, m running over the multiplicities of equal children."""
+    if not budget:
+        yield kids, weight
+        return
+    for j in range(start, len(pool)):
+        size, levels, emb = pool[j]
+        if size > budget:
+            break
+        same = run + 1 if j == start else 1  # copies of this tree among the kids
+        yield from _forests(pool, budget - size, j, same, kids + (levels,),
+                            weight * (len(kids) + 1) // same * emb)
 
-    Child blocks follow their parents' order in level order, so walking
-    the vertices from last to first meets the blocks from last to first,
-    and every child before its parent.
+
+def _rooted_trees(n: int) -> list[list[tuple[tuple, int]]]:
+    """Every rooted tree with k edges once, for k = 0..n, as
+    ``(levels, embeddings)`` pairs ascending by ``levels``.
+
+    ``levels`` holds the up-degrees of the tree's least plane embedding
+    depth by depth, so their concatenation is its level-order sequence.
+    A tree is a multiset of smaller trees under a root.  Level i+1 of a
+    tree joins level i of its children in order, and children equal
+    down to level i have equally long blocks at level i+1; so ordering
+    the children by ``levels``, each in its least embedding, gives the
+    least embedding.
     """
-    keys: list[tuple] = [()] * len(seq)
-    end = len(seq)
-    for v in range(len(seq) - 1, -1, -1):
-        d = seq[v]
-        if d:
-            keys[v] = tuple(sorted(keys[end - d : end]))
-            end -= d
-    return keys[0]
+    classes = [[(((0,),), 1)]]
+    for m in range(1, n + 1):
+        pool = [(k + 1, levels, emb) for k in range(m) for levels, emb in classes[k]]
+        found = []
+        for kids, weight in _forests(pool, m):
+            kids = sorted(kids)  # ascending children give the least embedding
+            below = tuple(sum(lv, ()) for lv in zip_longest(*kids, fillvalue=()))
+            found.append((((len(kids),),) + below, weight))
+        classes.append(sorted(found))
+    return classes
 
 
 def abstract_classes(n: int) -> list[tuple[PlaneRootedTree, int]]:
@@ -82,20 +119,13 @@ def abstract_classes(n: int) -> list[tuple[PlaneRootedTree, int]]:
 
     Returns (representative, embedding count) pairs, the representative
     being the member with the smallest up-degree sequence, sorted by
-    that sequence.  The up-degree sequences of all plane trees are
-    grouped by :func:`_abstract_key`; they come in ascending order, so
-    each group's first member is its representative, the groups are met
-    in the order of their representatives, and only the representatives
-    are built as trees.
+    that sequence, each built once by :func:`_rooted_trees`.
     """
     if n < 0:
         raise ValueError("edge count is non-negative")
-    groups: dict[tuple, list] = {}
-    for seq in _up_degree_sequences(n):
-        groups.setdefault(_abstract_key(seq), [seq, 0])[1] += 1
     return [
-        (PlaneRootedTree.from_up_degrees(seq), count)
-        for seq, count in groups.values()
+        (PlaneRootedTree.from_up_degrees(sum(levels, ())), embeddings)
+        for levels, embeddings in _rooted_trees(n)[n]
     ]
 
 
@@ -116,21 +146,12 @@ def flows_per_tree(tree: PlaneRootedTree) -> int:
 # automaton's nodes: no marks and the boundary direction.
 _ROOT_NODE = [[False, False, BLACK, []]]
 
-# The plain automaton: one unmarked option per child, so the walk over
-# it lists each plane tree once, as a code without marks.
-_PLAIN: list = []
-_PLAIN.append([False, False, BLACK, _PLAIN])
-_PLAIN_AUTOMATON = {BLACK: _PLAIN}
-
 
 def _walk(
-    n: int,
-    token: Callable[[int, bool, bool], object],
-    automaton: dict[int, list] = CELL_AUTOMATON,
+    n: int, token: Callable[[int, bool, bool], object]
 ) -> Iterator[tuple[list, list]]:
-    """The one token walk behind :func:`iter_flows`,
-    :func:`iter_code_texts` and, over the plain automaton, the plane trees
-    of :func:`plane_trees` and :func:`abstract_classes`.
+    """The one token walk behind :func:`iter_flows` and
+    :func:`iter_code_texts`; it lists codes only, never bare trees.
 
     Yields the same pair ``(values, tokens)`` for every code, both lists
     updated in place: ``values`` holds the code's values and ``tokens``
@@ -141,7 +162,7 @@ def _walk(
     Codes compare token by token as (value, overline, prime), so position
     i runs through its values in ascending order and, for each value,
     through the decorations its parent cell still allows: the first child
-    of a block starts at ``automaton``'s start node for the parent's
+    of a block starts at the cell automaton's start node for the parent's
     color, each later child at the node its left sibling led to.  The
     parent and its block size are already fixed, since parents come first
     in level order.  Every prefix extends to a code: value i < n ranges
@@ -156,6 +177,7 @@ def _walk(
     parents = [0] * (n + 1)
     nodes = [_ROOT_NODE] * (n + 1)  # decorations open at each position
     picks = [0] * (n + 1)  # index of the chosen decoration in nodes[i]
+    automaton = CELL_AUTOMATON  # a local name, read at every block start
     tokens = [None] * (n + 1)
     state = (values, tokens)
     start = 0

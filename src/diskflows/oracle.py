@@ -7,20 +7,20 @@ decorating every plane tree, one sibling block at a time, with every
 coloring and at most one prime per block, keeping what the authoritative
 validator accepts.  Property 4 of a code rejects two primes in one
 block, so no other placement can be realizable or even admissible.
-Plane trees are regenerated here too, by recursive composition rather
-than by sequence search.  The only shared ingredients are the decoration
-dataclasses and the validator itself; in particular nothing here calls
-the model's cell classifier or its fast per-cell enumerator.
+The plane trees come from the composition generator that
+:func:`~diskflows.enumeration.plane_trees` uses, not from the token walk
+that lists the codes.  The only other shared ingredients are the
+decoration dataclasses and the validator itself; in particular nothing
+here calls the model's cell classifier or its fast per-cell enumerator.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 
 from .codec import Code, cached_token, check_realizable, serialize_code
-from .enumeration import count_flows
+from .enumeration import _nested_trees, _nested_up_degrees, count_flows
 from .model import CellDecoration, CyclicCell, PolarCell
 
 DEFAULT_BOUND = 5
@@ -76,28 +76,6 @@ def oracle_cell_configs(n: int, lower_direction: int) -> list[CellDecoration]:
         )
     out.sort(key=lambda dec: (dec.child_colors, dec.child_primes))
     return out
-
-
-def _nested_trees(n: int):
-    """Plane trees with n edges as nested child tuples, by the standard
-    first-subtree decomposition."""
-    if n == 0:
-        yield ()
-        return
-    for k in range(1, n + 1):
-        for first in _nested_trees(k - 1):
-            for rest in _nested_trees(n - k):
-                yield (first,) + rest
-
-
-def _nested_up_degrees(nested) -> tuple[int, ...]:
-    seq = []
-    queue = deque([nested])
-    while queue:
-        node = queue.popleft()
-        seq.append(len(node))
-        queue.extend(node)
-    return tuple(seq)
 
 
 def _block_decorations(values: tuple[int, ...]):

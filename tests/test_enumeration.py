@@ -116,7 +116,7 @@ def test_plane_trees_strictly_descending():
 
 
 def test_abstract_class_counts_match_rooted_tree_numbers():
-    assert [len(abstract_classes(n)) for n in range(8)] == [
+    assert [len(abstract_classes(n)) for n in range(11)] == [
         1,
         1,
         2,
@@ -125,6 +125,9 @@ def test_abstract_class_counts_match_rooted_tree_numbers():
         20,
         48,
         115,
+        286,
+        719,
+        1842,
     ]
 
 
@@ -137,7 +140,7 @@ def test_abstract_classes_at_three_loops():
     ]
 
 
-@pytest.mark.parametrize("n", range(8))
+@pytest.mark.parametrize("n", range(11))
 def test_abstract_multiplicities_cover_all_embeddings(n):
     classes = abstract_classes(n)
     assert sum(mult for _, mult in classes) == catalan(n)
@@ -331,9 +334,28 @@ def test_table_csv_text():
     )
 
 
-def test_table_csv_to_nine_loops_is_unchanged():
+@pytest.mark.parametrize(
+    "max_n, rows, digest",
+    [
+        (9, 1205, "adcd590f6a24791fa2015bb24b5d1831acb53db563b28b5b6fb2425edb23bd40"),
+        (10, 3047, "e33828b446ebc570e846591436b6a3ea4d7f757faf46e434abbfb95e4c28dea0"),
+    ],
+    ids=["9", "10"],
+)
+def test_table_csv_to_nine_loops_is_unchanged(max_n, rows, digest):
+    text = table_to_csv(table_rows(max_n))
+    assert text.count("\n") == 1 + rows
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_table_lists_no_plane_tree(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the table listed a plane tree")
+
+    monkeypatch.setattr(enumeration, "_walk", refuse)
+    monkeypatch.setattr(enumeration, "_nested_trees", refuse, raising=False)
+    monkeypatch.setattr(enumeration, "plane_trees", refuse)
     text = table_to_csv(table_rows(9))
-    assert text.count("\n") == 1 + 1205
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "adcd590f6a24791fa2015bb24b5d1831acb53db563b28b5b6fb2425edb23bd40"
     )

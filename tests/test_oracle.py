@@ -10,15 +10,14 @@ import pytest
 
 from diskflows import oracle
 from diskflows.codec import Code, CodeToken, check_admissible, check_realizable, parse_code
-from diskflows.enumeration import enumerate_flows, iter_flows
-from diskflows.model import cell_config_count, enumerate_cell_configs
-from diskflows.oracle import (
-    DEFAULT_BOUND,
+from diskflows.enumeration import (
     _nested_trees,
     _nested_up_degrees,
-    oracle_cell_configs,
-    oracle_enumerate,
+    enumerate_flows,
+    iter_flows,
 )
+from diskflows.model import cell_config_count, enumerate_cell_configs
+from diskflows.oracle import DEFAULT_BOUND, oracle_cell_configs, oracle_enumerate
 
 
 @pytest.mark.parametrize("lower", [1, -1])

@@ -69,6 +69,15 @@ def test_gallery_rejects_a_negative_limit(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_gallery_rejects_a_negative_separatrix_count(tmp_path):
+    out = tmp_path / "gallery"
+    proc = _gallery("--n", "-1", "--out", str(out), timeout=60)
+    assert proc.returncode == 2
+    assert "--n must be non-negative" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 def test_reproduced_counts_are_the_same_bytes_on_every_run(tmp_path):
     argv = ("--max-n", "4", "--list-max-n", "2", "--oracle-max-n", "2")
     first, second = tmp_path / "first", tmp_path / "second"
