@@ -26,12 +26,14 @@ Admissibility is necessary but not sufficient: a code is *realizable*
 decoded tree has a boundary with two or more source corners.  See
 :func:`check_realizable`, which is the authoritative test.
 
-Both checks are one linear scan of the tokens in level order, the body
-of :func:`check_realizable`: the values are summed once, the prefix sums
-stop at the last token, and each cell's source corners are counted from
-the marks of its own token and its block of children.  No tree is
-built, and the cost depends on the length of the code, never on the
-size of its values.
+Both checks are one linear scan of the tokens in level order, then
+reports rendered from what the scan found.  The scan sums the values
+once, stops the prefix sums at the last token, and counts each cell's
+source corners from the marks of its own token and its block of
+children.  No tree is built, and the cost depends on the length of the
+code, never on the size of its values.  The scan builds no report: its
+findings are a few small ints, and the reports rendered from them are
+immutable, so codes with the same findings share one report.
 """
 
 from __future__ import annotations
@@ -207,6 +209,15 @@ class ValidationReport:
 _PASS = PropertyCheck(True)
 _NOT_EVALUATED = PropertyCheck(True, None, "not evaluated: values do not form a tree")
 
+# Property 4's detail for each fault kind that _scan finds (0 is none):
+# the check points at token {at}, and {other} is the other token named.
+_GROUP_FAULTS = (
+    "",
+    "tokens {other} and {at} are both primed",
+    "token {at} differs in overline from its primed sibling {other}",
+    "token {other} must carry the opposite overline state of its children",
+)
+
 
 def check_admissible(code: Code) -> AdmissibilityReport:
     """Check the four necessary code properties."""
@@ -217,37 +228,48 @@ def check_realizable(code: Code) -> ValidationReport:
     """Authoritative validity test: admissible and every cell of the
     decoded tree is cyclic or polar, with primes only in cyclic cells.
 
-    This is the one validation pass, over the tokens in level order.  It
-    checks the four properties of :func:`check_admissible`, then reports
-    the first cell with two or more source corners, if any.  No tree is
-    built: the children of vertex v are the next ``value(v)`` tokens.
+    One scan of the tokens in level order finds the first failure of
+    each property of :func:`check_admissible` and the first cell with
+    two or more source corners; the report is rendered from those
+    findings.  Reports are immutable, so codes with the same findings
+    share one, except that the report of a multi-source cell, which
+    carries the cell's whole boundary, is built per call.
     """
-    tokens = code.tokens
+    findings, bad_cell = _scan(code.tokens)
+    report = _render(*findings)
+    if bad_cell is None or not report.admissible.passed:
+        return report
+    v, sides, sources = bad_cell
+    return ValidationReport(
+        report.admissible,
+        False,
+        offending_vertex=v,
+        offending_boundary=tuple(1 if s else -1 for s in sides),
+        detail=f"cell at vertex {v} has {sources} source corners",
+    )
+
+
+def _scan(tokens: tuple[CodeToken, ...]) -> tuple[tuple, tuple | None]:
+    """The one validation pass.  It builds no report and no tree: the
+    children of vertex v are the next ``value(v)`` tokens.
+
+    Returns ``(findings, bad_cell)``.  ``findings`` is ``(count, n,
+    marked, short, fault, at, other)``: the token count and the value
+    sum (property 1), whether the first token is marked (property 2),
+    the first k with a prefix sum below k, or 0 (property 3), and the
+    first property 4 fault, or 0, 0, 0.  ``bad_cell`` is ``(v, sides,
+    sources)`` for the first cell with two or more source corners.
+    """
     values = [t.value for t in tokens]
     count = len(values)
     n = sum(values)
-
-    length = _PASS
-    if count != n + 1:
-        length = PropertyCheck(
-            False,
-            n + 1 if count > n + 1 else None,
-            f"{count} tokens but the values sum to {n}, expected {n + 1}",
-        )
-    marks = _PASS
-    if tokens[0].overline or tokens[0].prime:
-        marks = PropertyCheck(False, 0, "the first token carries a mark")
+    marked = tokens[0].overline or tokens[0].prime
     # Past the last token the prefix is n >= k, so the loop stops there.
-    prefixes = _PASS
-    prefix = 0
+    short = prefix = 0
     for k in range(1, min(n, count) + 1):
         prefix += values[k - 1]
         if prefix < k:
-            prefixes = PropertyCheck(
-                False,
-                min(k, count - 1),
-                f"sum of the first {k} values is {prefix}, needs >= {k}",
-            )
+            short = k
             break
 
     # The blocks are read only when the values form a tree.  Cell v has
@@ -255,54 +277,69 @@ def check_realizable(code: Code) -> ValidationReport:
     # direction -color(child i), which is +1 exactly on an overlined
     # child.  Property 4 makes every cell with a primed child coherent,
     # so a prime never sits in a polar cell.
-    overlines = [t.overline for t in tokens]
-    primes = [t.prime for t in tokens]
-    tree = length.passed and prefixes.passed
-    groups = _PASS if tree else _NOT_EVALUATED
+    fault = at = other = 0
     bad_cell = None
-    nxt = 1
-    for v, d in enumerate(values if tree else ()):
-        if not d:
-            continue
-        end = nxt + d
-        kid_overlines = overlines[nxt:end]
-        if True in primes[nxt:end]:
-            primed = [c for c in range(nxt, end) if primes[c]]
-            first = primed[0]
-            shared = overlines[first]
-            if len(primed) > 1:
-                detail = f"tokens {first} and {primed[1]} are both primed"
-                groups = PropertyCheck(False, primed[1], detail)
-            elif (not shared) in kid_overlines:
-                c = nxt + kid_overlines.index(not shared)
-                detail = f"token {c} differs in overline from its primed sibling {first}"
-                groups = PropertyCheck(False, c, detail)
-            elif overlines[v] == shared:
-                detail = f"token {v} must carry the opposite overline state of its children"
-                groups = PropertyCheck(False, first, detail)
-            if not groups.passed:
-                break
-        elif bad_cell is None:
-            sides = [v == 0 or not overlines[v]] + kid_overlines
-            sources = source_corners(sides)
-            if sources > 1:
-                bad_cell = (v, sides, sources)
-        nxt = end
+    if count == n + 1 and not short:
+        overlines = [t.overline for t in tokens]
+        primes = [t.prime for t in tokens]
+        nxt = 1
+        for v, d in enumerate(values):
+            if not d:
+                continue
+            end = nxt + d
+            kid_overlines = overlines[nxt:end]
+            if True in primes[nxt:end]:
+                first = primes.index(True, nxt, end)
+                shared = overlines[first]
+                if True in primes[first + 1:end]:
+                    fault, at, other = 1, primes.index(True, first + 1, end), first
+                elif (not shared) in kid_overlines:
+                    fault, at, other = 2, nxt + kid_overlines.index(not shared), first
+                elif overlines[v] == shared:
+                    fault, at, other = 3, first, v
+                if fault:
+                    break
+            elif bad_cell is None:
+                sides = [v == 0 or not overlines[v]] + kid_overlines
+                sources = source_corners(sides)
+                if sources > 1:
+                    bad_cell = (v, sides, sources)
+            nxt = end
+    return (count, n, marked, short, fault, at, other), bad_cell
+
+
+@lru_cache(maxsize=1024)
+def _render(
+    count: int, n: int, marked: bool, short: int, fault: int, at: int, other: int
+) -> ValidationReport:
+    """The report for the findings of :func:`_scan`, as if no cell had
+    two or more source corners.  Bounded like :data:`cached_token`;
+    every realizable code of one length shares one key."""
+    length = _PASS
+    if count != n + 1:
+        length = PropertyCheck(
+            False,
+            n + 1 if count > n + 1 else None,
+            f"{count} tokens but the values sum to {n}, expected {n + 1}",
+        )
+    marks = PropertyCheck(False, 0, "the first token carries a mark") if marked else _PASS
+    prefixes = _PASS
+    if short:
+        # The first k - 1 values sum to at least k - 1: the sum is k - 1.
+        detail = f"sum of the first {short} values is {short - 1}, needs >= {short}"
+        prefixes = PropertyCheck(False, min(short, count - 1), detail)
+    groups = _PASS
+    if not (length.passed and prefixes.passed):
+        groups = _NOT_EVALUATED
+    elif fault:
+        detail = _GROUP_FAULTS[fault].format(at=at, other=other)
+        groups = PropertyCheck(False, at, detail)
     adm = AdmissibilityReport((length, marks, prefixes, groups))
     if not adm.passed:
         return ValidationReport(
             adm, False, detail="fails necessary code properties " + str(adm.failing)
         )
-    if bad_cell is None:
-        return ValidationReport(adm, True)
-    v, sides, sources = bad_cell
-    return ValidationReport(
-        adm,
-        False,
-        offending_vertex=v,
-        offending_boundary=tuple(1 if s else -1 for s in sides),
-        detail=f"cell at vertex {v} has {sources} source corners",
-    )
+    return ValidationReport(adm, True)
 
 
 # ======================================================================

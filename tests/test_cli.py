@@ -467,6 +467,16 @@ def test_oracle_report_bytes_at_five_loops_are_pinned(tmp_path, capsys):
     assert hashlib.sha256(target.read_bytes()).hexdigest() == ORACLE_N5_JSON_SHA256
 
 
+# sha256 of `oracle --n 6 --bound 6` stdout: 32890 codes and 2328 witnesses.
+ORACLE_N6_TEXT_SHA256 = "c783d817866aa7ddf19da187435f4c933de9f3f5be3fafa9c76015122ae5a245"
+
+
+def test_oracle_report_bytes_at_six_loops_are_pinned(capsys):
+    rc, out, _ = run(capsys, "oracle", "--n", "6", "--bound", "6")
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ORACLE_N6_TEXT_SHA256
+
+
 # ---------------------------------------------------------------------------
 # usage errors
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diskflows import codec
 from diskflows.codec import (
     MAX_TOKEN_VALUE,
     Code,
@@ -326,6 +327,38 @@ def test_every_enumerated_code_is_realizable():
     for n in range(5):
         for code in enumerate_flows(n):
             assert check_realizable(code).realizable
+
+
+def decorated(values, marks: int) -> Code:
+    """The code with these values whose token i, the first one too,
+    carries bit 2i of ``marks`` as its overline and bit 2i+1 as its
+    prime."""
+    bits = [bool(marks >> i & 1) for i in range(2 * len(values))]
+    return Code(tuple(map(CodeToken, values, bits[::2], bits[1::2])))
+
+
+# Built directly, so the first token may be marked too.  Short value
+# lists mostly fail properties 1 to 3; the up-degrees of plane trees
+# reach the prime-group faults and the multi-source cells.
+short_values = [v for k in range(1, 5) for v in itertools.product(range(3), repeat=k)]
+tree_values = [[len(c) for c in t.children] for n in range(4) for t in plane_trees(n)]
+short_codes = st.builds(
+    decorated,
+    st.one_of(st.sampled_from(short_values), st.sampled_from(tree_values)),
+    st.integers(min_value=0, max_value=4**4 - 1),
+)
+
+
+@settings(max_examples=200)
+@given(st.lists(short_codes, min_size=20, max_size=60))
+def test_shared_reports_equal_freshly_built_ones(codes):
+    # The reports are memoized on the scan's findings: a report served
+    # from a warm cache must read the same as one built after clearing
+    # it, or some finding that the report shows is missing from the key.
+    warm = [repr(check_realizable(code)) for code in codes]
+    for code, expected in zip(codes, warm):
+        codec._render.cache_clear()
+        assert repr(check_realizable(code)) == expected
 
 
 # ---------------------------------------------------------------------------
