@@ -42,8 +42,12 @@ EXIT_USAGE = 1
 EXIT_INADMISSIBLE = 2
 EXIT_UNREALIZABLE = 3
 
-#: Safety cap on n for listing codes and building the table.
+#: Safety cap on n for building the table and running the oracle.
 DEFAULT_CAP = 10
+
+#: Default cap on n for listing codes: 16,301,164 codes at n = 9, while
+#: n = 10 lists 133,767,543, about 1.5 GB of text.
+ENUM_CAP = 9
 
 #: Largest n for ``enum --count-only``.  The count is a closed form, cheap
 #: for any n, but its decimal text (fewer than n digits) must stay under
@@ -227,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--count-only", action="store_true")
     p.add_argument("--out")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    p.add_argument("--cap", type=int, default=ENUM_CAP)
     p.set_defaults(func=_cmd_enum)
 
     p = sub.add_parser("table", help="emit the per-tree counting table as CSV")

@@ -16,17 +16,21 @@ reports once per class of trees, cross-checks it.
 :func:`iter_flows` lists the codes in sorted order by walking tokens, not
 trees, so codes over different trees interleave as sorting demands.  The
 walk is a lexicographic generator without dead ends (Ruskey,
-*Combinatorial Generation*): O(n) state and amortized constant work per
-step, since each step changes only a suffix of the code.  The decorations
-a cell allows come from :data:`~diskflows.model.CELL_AUTOMATON`, three
-states per parent color whatever the cell's size.  That one walk,
-:func:`_walk`, lists codes only and takes the factory that makes each
-token.  :func:`iter_flows` passes the interned
+*Combinatorial Generation*).  The decorations a cell allows come from
+:data:`~diskflows.model.CELL_AUTOMATON`, three states per parent color
+whatever the cell's size.  The walk stops where the edges run
+out: once the values placed sum to n, every later token has value 0 and
+only its decoration varies.  Those tails come from per-segment
+completions, every decoration of a run of leaves read from one automaton
+node, kept per stream by (node, length).  So the walk holds O(n)
+positions and completions sized by n alone, never by the number of
+codes.  That one walk, :func:`_walk`, lists codes only and takes the
+factory that makes each token.  :func:`iter_flows` passes the interned
 :class:`~diskflows.codec.CodeToken` constructor and builds a
-:class:`~diskflows.codec.Code` per step.  :func:`iter_code_texts`, the
-listing path of ``diskflows enum``, passes a table of token texts cached
-per stream and joins each code's texts, so only the tokens of the changed
-suffix are made anew and no code object is built.
+:class:`~diskflows.codec.Code` per code.  :func:`iter_code_texts`, the
+listing path of ``diskflows enum``, passes a cached text per token, joins
+each prefix once and each code from its prefix and tail, so no code
+object is built.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import zip_longest
+from itertools import product, zip_longest
 
 from .codec import Code, CodeToken, cached_token, join_token_texts
 from .model import BLACK, CELL_AUTOMATON, PlaneRootedTree, cell_config_count
@@ -147,17 +151,43 @@ def flows_per_tree(tree: PlaneRootedTree) -> int:
 _ROOT_NODE = [[False, False, BLACK, []]]
 
 
+def _completions(
+    memo: dict, node: list, length: int, token: Callable[[int, bool, bool], object]
+) -> list[tuple]:
+    """Every decoration of ``length`` leaves read from the automaton node
+    ``node``, in automaton order, each a tuple of what ``token`` makes of
+    its tokens, all of value 0.
+
+    ``memo`` keeps the lists by ``(id(node), length)``; the nodes live in
+    :data:`~diskflows.model.CELL_AUTOMATON` for good, so their ids stay
+    put.  The nodes reachable from ``node`` are filled length by length,
+    so no call recurses, and ``memo`` holds at most six nodes times the
+    lengths asked for.
+    """
+    reach = [node]
+    for x in reach:  # the loop reaches what it appends
+        reach.extend(nxt for *_, nxt in x if all(nxt is not y for y in reach))
+    for k in range(length + 1):
+        for x in reach:
+            if (id(x), k) not in memo:
+                memo[id(x), k] = [
+                    (token(0, overline, prime),) + rest
+                    for overline, prime, _, nxt in x
+                    for rest in memo[id(nxt), k - 1]
+                ] if k else [()]
+    return memo[id(node), length]
+
+
 def _walk(
     n: int, token: Callable[[int, bool, bool], object]
-) -> Iterator[tuple[list, list]]:
+) -> Iterator[tuple[list, list, list[tuple]]]:
     """The one token walk behind :func:`iter_flows` and
     :func:`iter_code_texts`; it lists codes only, never bare trees.
 
-    Yields the same pair ``(values, tokens)`` for every code, both lists
-    updated in place: ``values`` holds the code's values and ``tokens``
-    what ``token(value, overline, prime)`` made of each token.  Only the
-    positions after the one that advanced are made anew, so ``token`` is
-    called an amortized constant number of times per code.
+    Yields ``(values, head, tails)`` once per prefix: ``values`` and
+    ``head`` hold the values of the prefix and what ``token(value,
+    overline, prime)`` made of its tokens, and each code with that
+    prefix is ``head`` followed by one of ``tails``, in sorted order.
 
     Codes compare token by token as (value, overline, prime), so position
     i runs through its values in ascending order and, for each value,
@@ -169,9 +199,20 @@ def _walk(
     over [max(0, i+1-placed), n-placed], the last value is 0, and every
     automaton node has an option and accepts, so a block may end after
     any child.  So the walk meets no dead ends.
+
+    The walk stops where the edges run out: at the first position i > 0
+    whose predecessors' values sum to n, every later value is 0 and only
+    decorations change.  Positions i..n are leaves, one segment per
+    sibling block; the first may start inside a block, each later one at
+    the start node for its parent's color.  A segment's decorations are
+    its :func:`_completions`, kept per stream, and the tails are their
+    product, which keeps the codes in sorted order.
     """
     if n < 0:
         raise ValueError("separatrix count is non-negative")
+    if n == 0:  # the one code "0": no edges, so no tail
+        yield [0], [token(0, False, False)], [()]
+        return
     values = [0] * (n + 1)
     placed = [0] * (n + 2)  # placed[i]: sum of the values before position i
     parents = [0] * (n + 1)
@@ -179,14 +220,13 @@ def _walk(
     picks = [0] * (n + 1)  # index of the chosen decoration in nodes[i]
     automaton = CELL_AUTOMATON  # a local name, read at every block start
     tokens = [None] * (n + 1)
-    state = (values, tokens)
+    memo: dict = {}
     start = 0
     while True:
-        # Positions start..n take their least tokens.
-        for i in range(start, n + 1):
-            values[i] = max(0, i + 1 - placed[i]) if i < n else 0
-            placed[i + 1] = placed[i] + values[i]
-            picks[i] = 0
+        # Positions from start on take their least tokens, up to the tail.
+        # placed[n] is n, so the tail starts at some position i <= n.
+        i = start
+        while True:
             if i:
                 p = parents[i - 1]
                 while placed[p] + values[p] < i:
@@ -196,11 +236,34 @@ def _walk(
                     nodes[i] = automaton[nodes[p][picks[p]][2]]
                 else:
                     nodes[i] = nodes[i - 1][picks[i - 1]][3]
+                if placed[i] == n:
+                    break
+            values[i] = max(0, i + 1 - placed[i])
+            placed[i + 1] = placed[i] + values[i]
+            picks[i] = 0
             overline, prime = nodes[i][0][:2]
             tokens[i] = token(values[i], overline, prime)
-        yield state
-        # Advance the rightmost position that has a larger token left.
-        i = n
+            i += 1
+        stop = i
+        # The tail's segments: the rest of position stop's block, then
+        # the whole blocks of the later parents.
+        p = parents[stop]
+        blocks = [(nodes[stop], placed[p + 1] - stop + 1)]
+        blocks += [
+            (automaton[nodes[q][picks[q]][2]], values[q])
+            for q in range(p + 1, stop) if values[q]
+        ]
+        segments = [
+            memo.get((id(node), length)) or _completions(memo, node, length, token)
+            for node, length in blocks
+        ]
+        if len(segments) == 1:
+            tails = segments[0]
+        else:
+            tails = [sum(combo, ()) for combo in product(*segments)]
+        yield values[:stop], tokens[:stop], tails
+        # Advance the rightmost prefix position with a larger token left.
+        i = stop - 1
         while picks[i] + 1 == len(nodes[i]) and values[i] == n - placed[i]:
             if i == 0:
                 return
@@ -218,14 +281,16 @@ def _walk(
 
 def iter_flows(n: int) -> Iterator[Code]:
     """All realizable codes with n separatrices in sorted order, one at a
-    time, with O(n) state.
+    time, with state sized by n alone.
 
     Each code the token walk reaches is built as a :class:`Code` of
     interned tokens.  :func:`iter_code_texts` runs the same walk and
     yields the codes' texts instead.
     """
-    for _, tokens in _walk(n, cached_token):
-        yield Code(tuple(tokens))
+    for _, head, tails in _walk(n, cached_token):
+        head = tuple(head)
+        for tail in tails:
+            yield Code(head + tail)
 
 
 def _token_text(value: int, overline: bool, prime: bool) -> str:
@@ -237,17 +302,20 @@ def iter_code_texts(n: int) -> Iterator[str]:
     equal to :func:`~diskflows.codec.serialize_code` of each.
 
     No :class:`Code` is built: the walk's tokens are texts, each made
-    once per stream and kept in a table of at most 4(n+1) entries, since
-    the walk never makes a value above n.  For the same reason every
-    code is compact when n <= 9.
+    once per stream, and a prefix's text is joined once for all the
+    tails that follow it.  The walk never makes a value above n, so
+    every code is compact when n <= 9.
     """
     walk = _walk(n, lru_cache(maxsize=None)(_token_text))
     if n <= 9:
-        for _, texts in walk:
-            yield "".join(texts)
+        for _, head, tails in walk:
+            head = "".join(head)
+            for tail in tails:
+                yield head + "".join(tail)
     else:
-        for values, texts in walk:
-            yield join_token_texts(values, texts)
+        for values, head, tails in walk:
+            for tail in tails:
+                yield join_token_texts(values, head + list(tail))
 
 
 def enumerate_flows(n: int) -> list[Code]:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
 import resource
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diskflows import cli
 from diskflows.cli import (
     COUNT_MAX_N,
     ENUM_CHUNK,
@@ -345,6 +347,22 @@ def test_enum_enforces_cap(capsys):
     rc, out, _ = run(capsys, "enum", "--n", "11", "--count-only", "--cap", "11")
     assert rc == 0
     assert out == "1111731933\n"
+
+
+def test_enum_lists_up_to_nine_loops_unless_the_cap_is_raised(tmp_path, capsys, monkeypatch):
+    target = tmp_path / "codes.txt"
+    rc, out, err = run(capsys, "enum", "--n", "10", "--out", str(target))
+    assert rc == 1
+    assert out == ""
+    assert err == "error: n=10 exceeds the cap 9; raise it with --cap\n"
+    assert not target.exists()
+    # n = 10 lists 133,767,543 codes; the head of the stream shows that
+    # --cap 10 lets the listing start.
+    texts = cli.iter_code_texts
+    monkeypatch.setattr(cli, "iter_code_texts", lambda n: itertools.islice(texts(n), 3))
+    rc, out, _ = run(capsys, "enum", "--n", "10", "--cap", "10")
+    assert rc == 0
+    assert out.splitlines() == ["11111111110", "11111111110~", "11111111110~'"]
 
 
 def test_enum_rejects_negative(capsys):

@@ -32,7 +32,14 @@ from diskflows.enumeration import (
     table_rows,
     table_to_csv,
 )
-from diskflows.model import DistinguishedGraph, PlaneRootedTree, enumerate_cell_configs
+from diskflows.model import (
+    BLACK,
+    CELL_AUTOMATON,
+    RED,
+    DistinguishedGraph,
+    PlaneRootedTree,
+    enumerate_cell_configs,
+)
 
 
 def catalan(n: int) -> int:
@@ -248,7 +255,11 @@ def test_iter_flows_is_sorted_per_tree_enumeration():
     for n in range(7):
         codes = enumerate_flows(n)
         assert list(iter_flows(n)) == codes == sorted(codes)
-        assert codes == sorted(per_tree_codes(n))
+        reference = sorted(per_tree_codes(n))
+        assert codes == reference
+        # The text stream against the independent reference too, not
+        # only against iter_flows, which shares its walk.
+        assert list(iter_code_texts(n)) == list(map(serialize_code, reference))
 
 
 def test_streamed_enum_text_at_seven_loops_is_unchanged(tmp_path):
@@ -304,6 +315,34 @@ def test_token_texts_are_made_once_per_stream_from_walk_tokens(monkeypatch):
         assert head + list(stream) == [serialize_code(c) for c in iter_flows(n)]
         assert len(made) == len(set(made)) <= 4 * (n + 1)
         assert all(value <= n for value, _, _ in made)
+
+
+@pytest.mark.parametrize("color", [BLACK, RED])
+def test_leaf_completions_count_by_automaton_node(color):
+    start = CELL_AUTOMATON[color]
+    (back,) = [nxt for *_, nxt in start if len(nxt) == 1]
+    (away,) = [nxt for *_, nxt in start if len(nxt) == 2]
+    memo = {}
+    for j in range(9):
+        for node, count in ((start, (j + 1) * (j + 2) // 2), (away, j + 1), (back, 1)):
+            tails = enumeration._completions(memo, node, j, CodeToken)
+            assert len(tails) == len(set(tails)) == count
+            assert tails == sorted(tails)
+            assert all(len(t) == j and all(tok.value == 0 for tok in t) for t in tails)
+
+
+def test_completion_memo_is_sized_by_n_alone(monkeypatch):
+    memos = []
+    completions = enumeration._completions
+
+    def recording(memo, *args):
+        memos.append(memo)
+        return completions(memo, *args)
+
+    monkeypatch.setattr(enumeration, "_completions", recording)
+    assert sum(1 for _ in iter_code_texts(8)) == count_flows(8)
+    assert len({id(m) for m in memos}) == 1
+    assert len(memos[0]) <= 6 * 9
 
 
 # ---------------------------------------------------------------------------
