@@ -19,6 +19,7 @@ from pathlib import Path
 
 from diskflows.codec import serialize_code
 from diskflows.enumeration import (
+    TableRow,
     count_flows,
     iter_code_texts,
     iter_flows,
@@ -55,10 +56,10 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     return args
 
 
-def write_counts(args: argparse.Namespace) -> None:
+def write_counts(args: argparse.Namespace, rows: list[TableRow]) -> None:
     path = args.out / "counts.csv"
     product_sums = [0] * (args.max_n + 1)
-    for row in table_rows(args.max_n):
+    for row in rows:
         product_sums[row.n] += row.total
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle)
@@ -78,9 +79,9 @@ def write_counts(args: argparse.Namespace) -> None:
     print(f"wrote {path}")
 
 
-def write_class_table(args: argparse.Namespace) -> None:
+def write_class_table(args: argparse.Namespace, rows: list[TableRow]) -> None:
     path = args.out / "class_table.csv"
-    path.write_text(table_to_csv(table_rows(min(args.max_n, 5))))
+    path.write_text(table_to_csv([row for row in rows if row.n <= 5]))
     print(f"wrote {path}")
 
 
@@ -113,8 +114,9 @@ def write_oracle_reports(args: argparse.Namespace) -> None:
 def main(argv: list[str]) -> int:
     args = parse_args(argv)
     args.out.mkdir(parents=True, exist_ok=True)
-    write_counts(args)
-    write_class_table(args)
+    rows = table_rows(args.max_n)  # built once, for both CSV files
+    write_counts(args, rows)
+    write_class_table(args, rows)
     write_code_lists(args)
     write_oracle_reports(args)
     return 0

@@ -3,15 +3,16 @@
 Plane trees come from one generator, the first-subtree composition
 behind :func:`plane_trees`, which the oracle shares.  The classes of
 rooted trees are built directly, each once, from multisets of smaller
-classes, so the counting table lists no plane tree.  Decorating a tree
-is independent cell by cell: each vertex with k children contributes a
-factor (k+1)(k+2)/2, so the classes over one tree are counted by a
-product formula.  Summed over all trees, the count has the closed form
-C(4n+2, n)/(n+1): the weights (k+1)(k+2)/2 give the generating function
-T = (1 - xT)^-3, and Lagrange inversion extracts its coefficients
-(Flajolet & Sedgewick, *Analytic Combinatorics*, I.5).  :func:`count_flows`
-uses the closed form; the product formula, which the counting table
-reports once per class of trees, cross-checks it.
+classes; the counting table reads every size from one such build, with
+no plane tree.  Decorating a tree is independent cell by cell: each
+vertex with k children contributes a factor (k+1)(k+2)/2, so the
+classes over one tree are counted by a product formula.  Summed over
+all trees, the count has the closed form C(4n+2, n)/(n+1): the weights
+(k+1)(k+2)/2 give the generating function T = (1 - xT)^-3, and Lagrange
+inversion extracts its coefficients (Flajolet & Sedgewick, *Analytic
+Combinatorics*, I.5).  :func:`count_flows` uses the closed form; the
+product formula, which the counting table reports once per class of
+trees, cross-checks it.
 
 :func:`iter_flows` lists the codes in sorted order by walking tokens, not
 trees, so codes over different trees interleave as sorting demands.  The
@@ -28,9 +29,9 @@ codes.  That one walk, :func:`_walk`, lists codes only and takes the
 factory that makes each token.  :func:`iter_flows` passes the interned
 :class:`~diskflows.codec.CodeToken` constructor and builds a
 :class:`~diskflows.codec.Code` per code.  :func:`iter_code_texts`, the
-listing path of ``diskflows enum``, passes a cached text per token, joins
-each prefix once and each code from its prefix and tail, so no code
-object is built.
+listing path of ``diskflows enum``, passes a cached text per token and,
+in one loop for every n, joins each prefix once and each code from its
+prefix and tail, so no code object is built.
 """
 
 from __future__ import annotations
@@ -140,10 +141,7 @@ def abstract_classes(n: int) -> list[tuple[PlaneRootedTree, int]]:
 def flows_per_tree(tree: PlaneRootedTree) -> int:
     """Number of flow classes over one plane tree: the product of the
     per-cell configuration counts."""
-    total = 1
-    for kids in tree.children:
-        total *= cell_config_count(len(kids))
-    return total
+    return math.prod(map(cell_config_count, tree.up_degrees))
 
 
 # The root cell has one fixed "decoration", in the format of the cell
@@ -302,20 +300,16 @@ def iter_code_texts(n: int) -> Iterator[str]:
     equal to :func:`~diskflows.codec.serialize_code` of each.
 
     No :class:`Code` is built: the walk's tokens are texts, each made
-    once per stream, and a prefix's text is joined once for all the
-    tails that follow it.  The walk never makes a value above n, so
-    every code is compact when n <= 9.
+    once per stream.  One loop serves every n.  Tail values are 0 and no
+    value exceeds n, so a prefix's values decide whether its codes are
+    compact or spaced; its text is joined once, and each code is that
+    text followed by its tail's.
     """
-    walk = _walk(n, lru_cache(maxsize=None)(_token_text))
-    if n <= 9:
-        for _, head, tails in walk:
-            head = "".join(head)
-            for tail in tails:
-                yield head + "".join(tail)
-    else:
-        for values, head, tails in walk:
-            for tail in tails:
-                yield join_token_texts(values, head + list(tail))
+    for values, head, tails in _walk(n, lru_cache(maxsize=None)(_token_text)):
+        sep = "" if n <= 9 or max(values) <= 9 else " "
+        head = sep.join(head) + sep
+        for tail in tails:
+            yield head + sep.join(tail)
 
 
 def enumerate_flows(n: int) -> list[Code]:
@@ -347,22 +341,21 @@ class TableRow:
     total: int
 
 
-def _tree_code_text(tree: PlaneRootedTree) -> str:
-    values = list(tree.up_degrees)
-    return join_token_texts(values, list(map(str, values)))
-
-
 def table_rows(max_n: int) -> list[TableRow]:
-    """One row per isomorphism class of rooted trees, for n = 0..max_n."""
+    """One row per isomorphism class of rooted trees, for n = 0..max_n.
+
+    Every size is read from one :func:`_rooted_trees` build, straight
+    from each class's levels, so the table builds no plane tree.
+    """
     if max_n < 0:
         raise ValueError("edge count is non-negative")
     rows = []
-    for n in range(max_n + 1):
-        for rep, embeddings in abstract_classes(n):
-            flows = flows_per_tree(rep)
-            rows.append(
-                TableRow(n, _tree_code_text(rep), flows, embeddings, flows * embeddings)
-            )
+    for n, classes in enumerate(_rooted_trees(max_n)):
+        for levels, embeddings in classes:
+            values = sum(levels, ())
+            flows = math.prod(map(cell_config_count, values))
+            text = join_token_texts(values, list(map(str, values)))
+            rows.append(TableRow(n, text, flows, embeddings, flows * embeddings))
     return rows
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import math
 from collections import deque
+from itertools import islice
 
 import pytest
 
@@ -284,16 +285,31 @@ def test_code_texts_are_the_serialized_code_stream(n):
     assert list(iter_code_texts(n)) == [serialize_code(c) for c in iter_flows(n)]
 
 
-def test_code_texts_take_the_spaced_form_from_ten_loops_on():
+def test_code_texts_take_the_spaced_form_from_ten_loops_on(monkeypatch):
     # The walk reaches a value of 10 only after about 1.3e8 codes at
-    # n = 10, so the joining helper is checked on its own.
-    for text in ("10 0 0 0 0 0 0 0 0 0 0", "10 1~ 0~ 0~' 0~ 0~ 0~ 0~ 0~ 0~ 0~ 0"):
+    # n = 10, so the joining helper is checked on its own, and the text
+    # stream on a walk that yields such a prefix at once.
+    spaced = ("10 0 0 0 0 0 0 0 0 0 0", "10 1~ 0~ 0~' 0~ 0~ 0~ 0~ 0~ 0~ 0~ 0")
+    for text in spaced:
         code = parse_code(text)
         values = [t.value for t in code.tokens]
         texts = [t.text() for t in code.tokens]
         assert join_token_texts(values, texts) == serialize_code(code) == text
-    first = next(iter_code_texts(10))
-    assert first == serialize_code(next(iter_flows(10))) == "1" * 10 + "0"
+    count = 20_000
+    texts = list(islice(iter_code_texts(10), count))
+    assert texts == [serialize_code(c) for c in islice(iter_flows(10), count)]
+    assert texts[0] == "1" * 10 + "0"
+
+    codes = [parse_code(spaced[1]), parse_code("1" * 10 + "0")]
+
+    def walk(n, token):
+        for code in codes:
+            made = [token(t.value, t.overline, t.prime) for t in code.tokens]
+            yield [t.value for t in code.tokens[:2]], made[:2], [tuple(made[2:])]
+
+    monkeypatch.setattr(enumeration, "_walk", walk)
+    texts = list(iter_code_texts(10))
+    assert texts == [serialize_code(c) for c in codes] == [spaced[1], "1" * 10 + "0"]
 
 
 def test_token_texts_are_made_once_per_stream_from_walk_tokens(monkeypatch):
@@ -394,7 +410,19 @@ def test_table_lists_no_plane_tree(monkeypatch):
     monkeypatch.setattr(enumeration, "_walk", refuse)
     monkeypatch.setattr(enumeration, "_nested_trees", refuse, raising=False)
     monkeypatch.setattr(enumeration, "plane_trees", refuse)
+    monkeypatch.setattr(enumeration, "abstract_classes", refuse)
+    monkeypatch.setattr(enumeration.PlaneRootedTree, "__post_init__", refuse)
+    builds = []
+    build = enumeration._rooted_trees
+
+    def counted(n):
+        builds.append(n)
+        return build(n)
+
+    # Every size comes from one build of the classes.
+    monkeypatch.setattr(enumeration, "_rooted_trees", counted)
     text = table_to_csv(table_rows(9))
+    assert builds == [9]
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "adcd590f6a24791fa2015bb24b5d1831acb53db563b28b5b6fb2425edb23bd40"
     )
