@@ -19,19 +19,18 @@ trees, so codes over different trees interleave as sorting demands.  The
 walk is a lexicographic generator without dead ends (Ruskey,
 *Combinatorial Generation*).  The decorations a cell allows come from
 :data:`~diskflows.model.CELL_AUTOMATON`, three states per parent color
-whatever the cell's size.  The walk stops where the edges run
-out: once the values placed sum to n, every later token has value 0 and
-only its decoration varies.  Those tails come from per-segment
-completions, every decoration of a run of leaves read from one automaton
-node, kept per stream by (node, length).  So the walk holds O(n)
-positions and completions sized by n alone, never by the number of
-codes.  That one walk, :func:`_walk`, lists codes only and takes the
-factory that makes each token.  :func:`iter_flows` passes the interned
-:class:`~diskflows.codec.CodeToken` constructor and builds a
-:class:`~diskflows.codec.Code` per code.  :func:`iter_code_texts`, the
-listing path of ``diskflows enum``, passes a cached text per token and,
-in one loop for every n, joins each prefix once and each code from its
-prefix and tail, so no code object is built.
+whatever the cell's size.  The walk stops where the edges run out: once
+the values placed sum to n, every later token has value 0 and only its
+decoration varies.  Those tails come from per-segment completions,
+:func:`~diskflows.model._completions`, kept per stream by (node,
+length).  So the walk holds O(n) positions and completions sized by n
+alone, never by the number of codes.  That one walk, :func:`_walk`,
+lists codes only and takes the factory that makes each token.
+:func:`iter_flows` passes the interned :class:`~diskflows.codec.CodeToken`
+constructor and builds a :class:`~diskflows.codec.Code` per code.
+:func:`iter_code_texts`, the listing path of ``diskflows enum``, passes
+a cached text per token and, in one loop for every n, joins each prefix
+once and each code from its prefix and tail, so no code object is built.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from functools import lru_cache
 from itertools import product, zip_longest
 
 from .codec import Code, CodeToken, cached_token, join_token_texts
-from .model import BLACK, CELL_AUTOMATON, PlaneRootedTree, cell_config_count
+from .model import BLACK, CELL_AUTOMATON, PlaneRootedTree, _completions, cell_config_count
 
 
 # ======================================================================
@@ -149,33 +148,6 @@ def flows_per_tree(tree: PlaneRootedTree) -> int:
 _ROOT_NODE = [[False, False, BLACK, []]]
 
 
-def _completions(
-    memo: dict, node: list, length: int, token: Callable[[int, bool, bool], object]
-) -> list[tuple]:
-    """Every decoration of ``length`` leaves read from the automaton node
-    ``node``, in automaton order, each a tuple of what ``token`` makes of
-    its tokens, all of value 0.
-
-    ``memo`` keeps the lists by ``(id(node), length)``; the nodes live in
-    :data:`~diskflows.model.CELL_AUTOMATON` for good, so their ids stay
-    put.  The nodes reachable from ``node`` are filled length by length,
-    so no call recurses, and ``memo`` holds at most six nodes times the
-    lengths asked for.
-    """
-    reach = [node]
-    for x in reach:  # the loop reaches what it appends
-        reach.extend(nxt for *_, nxt in x if all(nxt is not y for y in reach))
-    for k in range(length + 1):
-        for x in reach:
-            if (id(x), k) not in memo:
-                memo[id(x), k] = [
-                    (token(0, overline, prime),) + rest
-                    for overline, prime, _, nxt in x
-                    for rest in memo[id(nxt), k - 1]
-                ] if k else [()]
-    return memo[id(node), length]
-
-
 def _walk(
     n: int, token: Callable[[int, bool, bool], object]
 ) -> Iterator[tuple[list, list, list[tuple]]]:
@@ -203,8 +175,8 @@ def _walk(
     decorations change.  Positions i..n are leaves, one segment per
     sibling block; the first may start inside a block, each later one at
     the start node for its parent's color.  A segment's decorations are
-    its :func:`_completions`, kept per stream, and the tails are their
-    product, which keeps the codes in sorted order.
+    its :func:`~diskflows.model._completions`, kept per stream, and the
+    tails are their product, which keeps the codes in sorted order.
     """
     if n < 0:
         raise ValueError("separatrix count is non-negative")

@@ -29,10 +29,15 @@ one sink) bounds a polar cell.  Boundaries with two or more sources do
 not occur in a flow.  :func:`source_corners` is the one count of sources
 that the classifier and the validator share; the full corner types
 (source, sink, hyperbolic) are worked out independently by the oracle.
+
+The choices a cell allows are stated once, as :data:`CELL_AUTOMATON`,
+and read through :func:`_completions`: the enumeration walk reads them
+so, and :func:`enumerate_cell_configs` tags what it reads.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -256,43 +261,6 @@ def cell_config_count(n: int) -> int:
     return (n + 1) * (n + 2) // 2
 
 
-@lru_cache(maxsize=None)
-def enumerate_cell_configs(n: int, lower_direction: int) -> tuple[CellDecoration, ...]:
-    """All configurations of a cell with n inner loops whose side 0 has
-    the given direction, sorted by the forced (colors, primes) pair.
-
-    Cyclic configurations force the opposite color -d_0 on every inner
-    loop and prime the entered loop when it is an inner one.  A polar
-    configuration runs the sides first..last (1 <= first <= last <= n)
-    against side 0, so those loops take the color d_0 and the rest -d_0,
-    and never primes.  The run is bounded by corners first-1 and last:
-    the source is the one where the flow turns from -1 to +1.
-    """
-    if lower_direction not in (1, -1):
-        raise ValueError("lower direction must be +1 or -1")
-    if n < 0:
-        raise ValueError("inner loop count is non-negative")
-    out: list[CellDecoration] = []
-    inner_color = -lower_direction
-    no_primes = (False,) * n
-    for entry in range(n + 1):
-        primes = tuple(i == entry - 1 for i in range(n))
-        out.append(CellDecoration(CyclicCell(entry), (inner_color,) * n, primes))
-    for first in range(1, n + 1):
-        for last in range(first, n + 1):
-            colors = tuple(
-                lower_direction if first <= i <= last else inner_color
-                for i in range(1, n + 1)
-            )
-            if lower_direction == 1:
-                config = PolarCell(last, first - 1)
-            else:
-                config = PolarCell(first - 1, last)
-            out.append(CellDecoration(config, colors, no_primes))
-    out.sort(key=lambda dec: (dec.child_colors, dec.child_primes))
-    return tuple(out)
-
-
 def _cell_automaton(color: int) -> list:
     """Start node of the automaton that reads a cell's child decorations
     in token order; ``color`` is the color of the cell's own vertex.
@@ -321,3 +289,62 @@ def _cell_automaton(color: int) -> list:
 #: Start node of the cell automaton, by the color of the cell's vertex;
 #: shared by every walk and never modified.
 CELL_AUTOMATON = {color: _cell_automaton(color) for color in (BLACK, RED)}
+
+
+def _completions(
+    memo: dict, node: list, length: int, token: Callable[[int, bool, bool], object]
+) -> list[tuple]:
+    """Every decoration of ``length`` children read from the automaton
+    node ``node``, in automaton order, each a tuple of what ``token``
+    makes of its tokens, all of value 0.
+
+    ``memo`` keeps the lists by ``(id(node), length)``; the nodes live in
+    :data:`CELL_AUTOMATON` for good, so their ids stay put.  The nodes
+    reachable from ``node`` are filled length by length, so no call
+    recurses, and ``memo`` holds at most six nodes times the lengths
+    asked for.
+    """
+    reach = [node]
+    for x in reach:  # the loop reaches what it appends
+        reach.extend(nxt for *_, nxt in x if all(nxt is not y for y in reach))
+    for k in range(length + 1):
+        for x in reach:
+            if (id(x), k) not in memo:
+                memo[id(x), k] = [
+                    (token(0, overline, prime),) + rest
+                    for overline, prime, _, nxt in x
+                    for rest in memo[id(nxt), k - 1]
+                ] if k else [()]
+    return memo[id(node), length]
+
+
+@lru_cache(maxsize=None)
+def enumerate_cell_configs(n: int, lower_direction: int) -> tuple[CellDecoration, ...]:
+    """All configurations of a cell with n inner loops whose side 0 has
+    the given direction, sorted by the forced (colors, primes) pair: the
+    decorations of n children read from the automaton, each tagged.
+
+    With no loop of color d_0 the cell is cyclic, entered by the primed
+    loop or by side 0.  Otherwise the loops of color d_0 run the sides
+    first..last against side 0, between corners first-1 and last; the
+    source is the one where the flow turns from -1 to +1.
+    """
+    if lower_direction not in (1, -1):
+        raise ValueError("lower direction must be +1 or -1")
+    if n < 0:
+        raise ValueError("inner loop count is non-negative")
+    out: list[CellDecoration] = []
+    node = CELL_AUTOMATON[lower_direction]
+    for marks in _completions({}, node, n, lambda _, overline, prime: (overline, prime)):
+        colors = tuple(RED if overline else BLACK for overline, _ in marks)
+        primes = tuple(prime for _, prime in marks)
+        run = [i for i, c in enumerate(colors, 1) if c == lower_direction]
+        if not run:
+            config = CyclicCell(primes.index(True) + 1 if True in primes else 0)
+        elif lower_direction == 1:
+            config = PolarCell(run[-1], run[0] - 1)
+        else:
+            config = PolarCell(run[0] - 1, run[-1])
+        out.append(CellDecoration(config, colors, primes))
+    out.sort(key=lambda dec: (dec.child_colors, dec.child_primes))
+    return tuple(out)

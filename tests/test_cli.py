@@ -8,6 +8,7 @@ import io
 import itertools
 import json
 import math
+import random
 import resource
 import subprocess
 import sys
@@ -28,7 +29,9 @@ from diskflows.cli import (
     EXIT_USAGE,
     main,
 )
+from diskflows.codec import Code, CodeToken, serialize_code
 from diskflows.enumeration import codes_to_text, enumerate_flows
+from diskflows.model import BLACK, RED, enumerate_cell_configs
 
 
 def run(capsys, *argv: str):
@@ -605,3 +608,46 @@ def test_fuzzed_json_for_encode_ends_with_a_documented_exit_code(text):
     assert rc in EXIT_CODES
     assert (rc == EXIT_OK) == (out != "") == (err == "")
     assert rc == EXIT_OK or err.startswith("error: ")
+
+
+# ---------------------------------------------------------------------------
+# large realizable codes
+
+
+def random_realizable_text(n: int, rng: random.Random) -> str:
+    """A realizable code with n separatrices: a random recursive tree
+    (vertex v hangs below a uniformly chosen earlier vertex), read in
+    level order, with one configuration drawn per cell, top down."""
+    children = [[] for _ in range(n + 1)]
+    for v in range(1, n + 1):
+        children[rng.randrange(v)].append(v)
+    order = [0]
+    for v in order:  # level order: the loop reaches what it appends
+        order.extend(children[v])
+    degrees = [len(children[v]) for v in order]
+    colors, primes = [BLACK] * (n + 1), [False] * (n + 1)
+    nxt = 1
+    for v, k in enumerate(degrees):
+        dec = rng.choice(enumerate_cell_configs(k, colors[v]))
+        colors[nxt:nxt + k] = dec.child_colors
+        primes[nxt:nxt + k] = dec.child_primes
+        nxt += k
+    return serialize_code(
+        Code(tuple(map(CodeToken, degrees, [c == RED for c in colors], primes)))
+    )
+
+
+@pytest.mark.parametrize("n", [100, 300, 1000])
+def test_large_realizable_codes_validate_round_trip_and_draw(n, capsys):
+    text = random_realizable_text(n, random.Random(n))
+    rc, out, _ = run(capsys, "validate", text)
+    assert rc == EXIT_OK
+    assert out.endswith("realizable: PASS\n")
+    rc, doc, _ = run(capsys, "decode", text)
+    assert rc == EXIT_OK
+    with mock.patch.object(sys, "stdin", io.StringIO(doc)):
+        rc, out, _ = run(capsys, "encode", "-")
+    assert (rc, out) == (EXIT_OK, text + "\n")
+    rc, svg, _ = run(capsys, "render", text, "--view", "diagram")
+    assert rc == EXIT_OK
+    assert svg.count('class="loop"') == n

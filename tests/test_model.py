@@ -248,6 +248,20 @@ def test_cell_configs_to_twelve_children_are_unchanged():
     assert digest.hexdigest() == CELL_CONFIGS_SHA256
 
 
+# The same digest for k = 13..18, the cell sizes the benchmark's seeded
+# code generator draws; computed by the loops over entry, first and last
+# that stated the rule before the automaton did.
+LARGE_CELL_CONFIGS_SHA256 = "4f2374fa3c7003988e8b67f6dcc81a27f99ebaea19e2b7f1fd0fdeffcd51f4c3"
+
+
+def test_cell_configs_from_thirteen_to_eighteen_children_are_unchanged():
+    digest = hashlib.sha256()
+    for k in range(13, 19):
+        for lower in (1, -1):
+            digest.update(repr(enumerate_cell_configs(k, lower)).encode())
+    assert digest.hexdigest() == LARGE_CELL_CONFIGS_SHA256
+
+
 def _automaton_paths(node, k):
     """Every sequence of k (overline, prime) options from ``node``, in the
     order the walk takes them."""
