@@ -34,7 +34,7 @@ from .enumeration import (
     table_rows,
     table_to_csv,
 )
-from .oracle import DEFAULT_BOUND, oracle_enumerate
+from .oracle import DEFAULT_BOUND, candidate_count, oracle_enumerate
 from .render import diagram_to_svg, tree_to_dot
 
 EXIT_OK = 0
@@ -198,6 +198,13 @@ def _cmd_oracle(args) -> int:
     if args.n > args.bound:
         raise _UsageError(
             f"oracle bound exceeded: n={args.n} > {args.bound}; raise it with --bound"
+        )
+    # Whatever the bound, no run tries more candidates than n = 7's, about
+    # 22 s on two vCPUs; n = 8 would try eleven times as many.
+    tries, limit = candidate_count(args.n), candidate_count(7)
+    if tries > limit:
+        raise _UsageError(
+            f"oracle at n={args.n} would try {tries} candidates, more than the {limit} at n=7"
         )
     _, report = oracle_enumerate(args.n, bound=args.bound)
     sys.stdout.write(report.to_text())

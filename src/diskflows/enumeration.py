@@ -19,18 +19,20 @@ trees, so codes over different trees interleave as sorting demands.  The
 walk is a lexicographic generator without dead ends (Ruskey,
 *Combinatorial Generation*).  The decorations a cell allows come from
 :data:`~diskflows.model.CELL_AUTOMATON`, three states per parent color
-whatever the cell's size.  The walk stops where the edges run out: once
-the values placed sum to n, every later token has value 0 and only its
-decoration varies.  Those tails come from per-segment completions,
-:func:`~diskflows.model._completions`, kept per stream by (node,
-length).  So the walk holds O(n) positions and completions sized by n
-alone, never by the number of codes.  That one walk, :func:`_walk`,
-lists codes only and takes the factory that makes each token.
-:func:`iter_flows` passes the interned :class:`~diskflows.codec.CodeToken`
-constructor and builds a :class:`~diskflows.codec.Code` per code.
-:func:`iter_code_texts`, the listing path of ``diskflows enum``, passes
-a cached text per token and, in one loop for every n, joins each prefix
-once and each code from its prefix and tail, so no code object is built.
+whatever the cell's size.  The walk stops at the token that places the
+last edge: its value is forced, n minus the values before it, so only
+its decoration varies, and each decoration is followed by leaves of
+value 0, one segment per sibling block.  A segment's decorations are its
+per-segment completions, :func:`~diskflows.model._completions`, kept per
+stream by (node, length).  So the walk holds O(n) positions and
+completions sized by n alone, never by the number of codes.  That one
+walk, :func:`_walk`, lists codes only and takes the factory that makes
+each token.  :func:`iter_flows` passes the interned
+:class:`~diskflows.codec.CodeToken` constructor and builds a
+:class:`~diskflows.codec.Code` per code.  :func:`iter_code_texts`, the
+listing path of ``diskflows enum``, passes a cached text per token and
+joins each completion list to text once per stream and separator, so it
+builds no code object and joins no tail token by token.
 """
 
 from __future__ import annotations
@@ -154,10 +156,14 @@ def _walk(
     """The one token walk behind :func:`iter_flows` and
     :func:`iter_code_texts`; it lists codes only, never bare trees.
 
-    Yields ``(values, head, tails)`` once per prefix: ``values`` and
-    ``head`` hold the values of the prefix and what ``token(value,
-    overline, prime)`` made of its tokens, and each code with that
-    prefix is ``head`` followed by one of ``tails``, in sorted order.
+    Yields ``(values, head, folds)`` once per prefix before the token
+    that places the last edge.  ``values`` holds the values of the
+    prefix and of that token, ``head`` what ``token(value, overline,
+    prime)`` made of the prefix's tokens, and ``folds`` pairs each
+    decoration of that token, as ``token`` made it, with its leaf
+    segments: lists of completions.  Each code with that prefix is
+    ``head``, one folded token and one completion from each of its
+    segments, in sorted order.
 
     Codes compare token by token as (value, overline, prime), so position
     i runs through its values in ascending order and, for each value,
@@ -170,19 +176,21 @@ def _walk(
     automaton node has an option and accepts, so a block may end after
     any child.  So the walk meets no dead ends.
 
-    The walk stops where the edges run out: at the first position i > 0
-    whose predecessors' values sum to n, every later value is 0 and only
-    decorations change.  Positions i..n are leaves, one segment per
-    sibling block; the first may start inside a block, each later one at
-    the start node for its parent's color.  A segment's decorations are
-    its :func:`~diskflows.model._completions`, kept per stream, and the
-    tails are their product, which keeps the codes in sorted order.
+    The walk stops at the token that places the last edge: its value is
+    forced, n minus the values before it, and every later value is 0, so
+    only decorations change from there on.  Least tokens reach it at
+    position n - 1; otherwise it is the position just advanced, whose
+    value grew to its largest.  So the position to advance next is always
+    the one before it.  The leaves after it form one segment per sibling
+    block: the rest of its block, from the node its decoration leads to,
+    then the whole blocks of the later parents, its own block last.  A
+    segment's decorations are its :func:`~diskflows.model._completions`,
+    kept per stream by (node, length), at most 6(n+1) lists.  The folds
+    of a position depend only on its node, the rest of its block and its
+    value, and are kept by those three: O(n^2) short lists of references.
     """
     if n < 0:
         raise ValueError("separatrix count is non-negative")
-    if n == 0:  # the one code "0": no edges, so no tail
-        yield [0], [token(0, False, False)], [()]
-        return
     values = [0] * (n + 1)
     placed = [0] * (n + 2)  # placed[i]: sum of the values before position i
     parents = [0] * (n + 1)
@@ -191,62 +199,62 @@ def _walk(
     automaton = CELL_AUTOMATON  # a local name, read at every block start
     tokens = [None] * (n + 1)
     memo: dict = {}
-    start = 0
+    made: dict = {}  # the folds of a position, by (node, rest, value)
+
+    def segment(node, length):
+        return memo.get((id(node), length)) or _completions(memo, node, length, token)
+
+    values[0] = placed[1] = min(n, 1)  # the root's least value
+    i = 0
     while True:
-        # Positions from start on take their least tokens, up to the tail.
-        # placed[n] is n, so the tail starts at some position i <= n.
-        i = start
-        while True:
-            if i:
-                p = parents[i - 1]
-                while placed[p] + values[p] < i:
-                    p += 1
-                parents[i] = p
-                if i == placed[p] + 1:
-                    nodes[i] = automaton[nodes[p][picks[p]][2]]
-                else:
-                    nodes[i] = nodes[i - 1][picks[i - 1]][3]
-                if placed[i] == n:
-                    break
+        # Position i holds its value and pick; until it places the last
+        # edge, make its token and give the next position its least token.
+        while values[i] < n - placed[i]:
+            overline, prime = nodes[i][picks[i]][:2]
+            tokens[i] = token(values[i], overline, prime)
+            i += 1
+            p = parents[i - 1]
+            while placed[p] + values[p] < i:
+                p += 1
+            parents[i] = p
+            if i == placed[p] + 1:
+                nodes[i] = automaton[nodes[p][picks[p]][2]]
+            else:
+                nodes[i] = nodes[i - 1][picks[i - 1]][3]
             values[i] = max(0, i + 1 - placed[i])
             placed[i + 1] = placed[i] + values[i]
             picks[i] = 0
-            overline, prime = nodes[i][0][:2]
-            tokens[i] = token(values[i], overline, prime)
-            i += 1
-        stop = i
-        # The tail's segments: the rest of position stop's block, then
-        # the whole blocks of the later parents.
-        p = parents[stop]
-        blocks = [(nodes[stop], placed[p + 1] - stop + 1)]
-        blocks += [
-            (automaton[nodes[q][picks[q]][2]], values[q])
-            for q in range(p + 1, stop) if values[q]
+        # Fold position i: the rest of its block, the later parents'
+        # blocks, then its own block of values[i] leaves.
+        value = values[i]
+        p = parents[i]
+        rest = placed[p + 1] - i if i else 0
+        key = id(nodes[i]), rest, value
+        folds = made.get(key)
+        if folds is None:
+            folds = made[key] = [
+                (token(value, overline, prime),
+                 ([segment(nxt, rest)] if rest else []) + [segment(automaton[color], value)])
+                for overline, prime, color, nxt in nodes[i]
+            ]
+        shared = [
+            segment(automaton[nodes[q][picks[q]][2]], values[q])
+            for q in range(p + 1, i) if values[q]
         ]
-        segments = [
-            memo.get((id(node), length)) or _completions(memo, node, length, token)
-            for node, length in blocks
-        ]
-        if len(segments) == 1:
-            tails = segments[0]
-        else:
-            tails = [sum(combo, ()) for combo in product(*segments)]
-        yield values[:stop], tokens[:stop], tails
-        # Advance the rightmost prefix position with a larger token left.
-        i = stop - 1
-        while picks[i] + 1 == len(nodes[i]) and values[i] == n - placed[i]:
-            if i == 0:
-                return
-            i -= 1
+        if shared:
+            folds = [(folded, [*segs[:-1], *shared, segs[-1]]) for folded, segs in folds]
+        yield values[:i + 1], tokens[:i], folds
+        if not i:
+            return
+        # Advance the prefix's last position: a later decoration, or else
+        # the next value, which may make it place the last edge.
+        i -= 1
         if picks[i] + 1 < len(nodes[i]):
             picks[i] += 1
         else:
             values[i] += 1
             placed[i + 1] += 1
             picks[i] = 0
-        overline, prime = nodes[i][picks[i]][:2]
-        tokens[i] = token(values[i], overline, prime)
-        start = i + 1
 
 
 def iter_flows(n: int) -> Iterator[Code]:
@@ -257,14 +265,22 @@ def iter_flows(n: int) -> Iterator[Code]:
     interned tokens.  :func:`iter_code_texts` runs the same walk and
     yields the codes' texts instead.
     """
-    for _, head, tails in _walk(n, cached_token):
-        head = tuple(head)
-        for tail in tails:
-            yield Code(head + tail)
+    for _, head, folds in _walk(n, cached_token):
+        for folded, segments in folds:
+            base = (*head, folded)
+            for combo in product(*segments):
+                yield Code(sum(combo, base))
 
 
 def _token_text(value: int, overline: bool, prime: bool) -> str:
     return CodeToken(value, overline, prime).text()
+
+
+def _segment_texts(texts: dict, segment: list[tuple], sep: str) -> list[str]:
+    """``segment``'s completions joined with ``sep``, kept in ``texts``
+    by the list's id; the walk keeps its segments for the whole stream."""
+    texts[id(segment)] = joined = list(map(sep.join, segment))
+    return joined
 
 
 def iter_code_texts(n: int) -> Iterator[str]:
@@ -272,16 +288,30 @@ def iter_code_texts(n: int) -> Iterator[str]:
     equal to :func:`~diskflows.codec.serialize_code` of each.
 
     No :class:`Code` is built: the walk's tokens are texts, each made
-    once per stream.  One loop serves every n.  Tail values are 0 and no
-    value exceeds n, so a prefix's values decide whether its codes are
-    compact or spaced; its text is joined once, and each code is that
-    text followed by its tail's.
+    once per stream.  One loop serves every n.  Later values are 0 and no
+    value exceeds n, so the values of a prefix and of its folded token
+    decide whether its codes are compact or spaced.  Each completion list
+    is joined to text once per stream and separator, and each code is
+    the prefix's text, the folded token's and one joined completion per
+    segment, so no tail is joined token by token.
     """
-    for values, head, tails in _walk(n, lru_cache(maxsize=None)(_token_text)):
+    joined = {"": {}, " ": {}}  # per separator, by the completion list's id
+    for values, head, folds in _walk(n, lru_cache(maxsize=None)(_token_text)):
         sep = "" if n <= 9 or max(values) <= 9 else " "
-        head = sep.join(head) + sep
-        for tail in tails:
-            yield head + sep.join(tail)
+        texts = joined[sep]
+        head = sep.join(head) + sep if head else ""
+        for folded, segments in folds:
+            base = head + folded + sep
+            *front, last = segments
+            last = texts.get(id(last)) or _segment_texts(texts, last, sep)
+            if front:
+                lists = [texts.get(id(s)) or _segment_texts(texts, s, sep) for s in front]
+                starts = (base + sep.join(combo) + sep for combo in product(*lists))
+            else:
+                starts = (base,)
+            for start in starts:
+                for tail in last:
+                    yield start + tail
 
 
 def enumerate_flows(n: int) -> list[Code]:

@@ -17,6 +17,7 @@ here calls the model's cell classifier or its fast per-cell enumerator.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .codec import Code, cached_token, check_realizable, serialize_code
@@ -136,6 +137,12 @@ class DiscrepancyReport:
         return "\n".join(lines) + "\n"
 
 
+def candidate_count(n: int) -> int:
+    """Codes :func:`oracle_enumerate` sends through the validator at n:
+    2**n * C(3n+1, n)/(n+1), read off no tree."""
+    return 2**n * math.comb(3 * n + 1, n) // (n + 1)
+
+
 def oracle_enumerate(n: int, *, bound: int = DEFAULT_BOUND) -> tuple[set[Code], DiscrepancyReport]:
     """Realizable codes with n separatrices, found by filtering decorations
     of every tree through the validator.
@@ -144,7 +151,7 @@ def oracle_enumerate(n: int, *, bound: int = DEFAULT_BOUND) -> tuple[set[Code], 
     decorations; a block of d children has 2**d * (d + 1), every
     coloring with no prime or one primed child.  That makes
     2**n * prod(d_v + 1) candidates for a tree with up-degrees d_v, and
-    C(3n+1, n)/(n+1) * 2**n over all trees (23,296 at n = 5, 248,064 at
+    :func:`candidate_count` over all trees (23,296 at n = 5, 248,064 at
     n = 6), each sent through :func:`check_realizable`; the witnesses
     are sorted, so the order of trial does not show.  The first clause
     of property 4 rejects every other prime placement, so leaving them

@@ -465,6 +465,20 @@ def test_oracle_bound_error_names_the_flag(capsys):
 
 
 @pytest.mark.parametrize(
+    "n, tries", [(8, 30_764_800), (9, 353_633_280), (10, 4_128_783_360)], ids=str
+)
+def test_oracle_refuses_more_candidates_than_at_seven_loops(n, tries, capsys):
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "oracle", "--n", str(n), "--bound", str(n))
+    assert time.perf_counter() - start < 1
+    assert rc == 1
+    assert out == ""
+    assert err == (
+        f"error: oracle at n={n} would try {tries} candidates, more than the 2728704 at n=7\n"
+    )
+
+
+@pytest.mark.parametrize(
     "argv", [("table", "--max-n", "11"), ("oracle", "--n", "11", "--bound", "11")], ids=" ".join
 )
 def test_commands_without_a_cap_flag_do_not_offer_one(argv, capsys):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import tracemalloc
 from collections import deque
 from itertools import islice
 
@@ -303,13 +304,22 @@ def test_code_texts_take_the_spaced_form_from_ten_loops_on(monkeypatch):
     codes = [parse_code(spaced[1]), parse_code("1" * 10 + "0")]
 
     def walk(n, token):
+        # One prefix per code, in the walk's shape: the values up to the
+        # token that places the last edge, the tokens before it, and that
+        # token with the rest of the code as its one segment.
         for code in codes:
             made = [token(t.value, t.overline, t.prime) for t in code.tokens]
-            yield [t.value for t in code.tokens[:2]], made[:2], [tuple(made[2:])]
+            values = [t.value for t in code.tokens]
+            last = max(i for i, value in enumerate(values) if value)
+            yield values[:last + 1], made[:last], [(made[last], [[tuple(made[last + 1:])]])]
 
     monkeypatch.setattr(enumeration, "_walk", walk)
     texts = list(iter_code_texts(10))
     assert texts == [serialize_code(c) for c in codes] == [spaced[1], "1" * 10 + "0"]
+    # The folded token alone has a value of 10 or more: the root of
+    # "10 0 0 0 0 0 0 0 0 0 0", after an empty head.
+    codes = [parse_code(spaced[0])]
+    assert list(iter_code_texts(10)) == [spaced[0]]
 
 
 def test_token_texts_are_made_once_per_stream_from_walk_tokens(monkeypatch):
@@ -359,6 +369,43 @@ def test_completion_memo_is_sized_by_n_alone(monkeypatch):
     assert sum(1 for _ in iter_code_texts(8)) == count_flows(8)
     assert len({id(m) for m in memos}) == 1
     assert len(memos[0]) <= 6 * 9
+
+
+def test_walk_yields_per_last_edge_prefix_and_joins_each_list_once(monkeypatch):
+    # The walk yields once per prefix before the token that places the
+    # last edge, the last position with a nonzero value.
+    def prefix(code):
+        last = max(i for i, t in enumerate(code.tokens) if t.value)
+        return code.tokens[:last]
+
+    prefixes = {prefix(code) for code in iter_flows(7)}
+    assert sum(1 for _ in enumeration._walk(7, CodeToken)) == len(prefixes) == 19_460
+
+    # Each completion list is joined to text once per stream, and the
+    # joined lists are as many as the completion lists, at most 6(n+1).
+    made = []
+    segment_texts = enumeration._segment_texts
+
+    def recording(texts, segment, sep):
+        made.append((texts, id(segment), sep))
+        return segment_texts(texts, segment, sep)
+
+    monkeypatch.setattr(enumeration, "_segment_texts", recording)
+    assert sum(1 for _ in iter_code_texts(8)) == count_flows(8)
+    assert len({(key, sep) for _, key, sep in made}) == len(made)
+    assert {sep for *_, sep in made} == {""}
+    assert len({id(texts) for texts, *_ in made}) == 1
+    assert len(made[0][0]) == len(made) <= 6 * 9
+
+    # Nothing is kept per code: draining a stream peaks far below the
+    # size of its text (3.6 MB at n = 7).
+    tracemalloc.start()
+    try:
+        assert sum(1 for _ in iter_code_texts(7)) == count_flows(7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from diskflows.enumeration import (
     iter_flows,
 )
 from diskflows.model import cell_config_count, enumerate_cell_configs
-from diskflows.oracle import DEFAULT_BOUND, oracle_cell_configs, oracle_enumerate
+from diskflows.oracle import DEFAULT_BOUND, candidate_count, oracle_cell_configs, oracle_enumerate
 
 
 @pytest.mark.parametrize("lower", [1, -1])
@@ -145,6 +145,17 @@ def test_every_candidate_goes_through_the_validator(n, monkeypatch):
     oracle_enumerate(n)
     assert len(calls) == 2**n * math.comb(3 * n + 1, n) // (n + 1)
     assert len(set(calls)) == len(calls)
+
+
+def test_candidate_count_follows_the_validator_calls():
+    # The formula the test above checks against every call, up to n = 7,
+    # whose count caps `diskflows oracle`.
+    assert [candidate_count(n) for n in range(8)] == [
+        2**n * math.comb(3 * n + 1, n) // (n + 1) for n in range(8)
+    ]
+    assert candidate_count(5) == 23_296
+    assert candidate_count(6) == 248_064
+    assert candidate_count(7) == 2_728_704
 
 
 def test_oracle_matches_enumeration_at_six_loops():
