@@ -17,6 +17,7 @@ import sys
 import time
 from pathlib import Path
 
+from diskflows.cli import DEFAULT_CAP
 from diskflows.codec import serialize_code
 from diskflows.enumeration import (
     TableRow,
@@ -26,7 +27,7 @@ from diskflows.enumeration import (
     table_rows,
     table_to_csv,
 )
-from diskflows.oracle import DEFAULT_BOUND, oracle_enumerate
+from diskflows.oracle import DEFAULT_BOUND, candidate_count, oracle_enumerate
 
 
 def parse_args(argv: list[str]) -> argparse.Namespace:
@@ -53,6 +54,17 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     for flag in ("--max-n", "--list-max-n", "--oracle-max-n"):
         if getattr(args, flag[2:].replace("-", "_")) < 0:
             parser.error(f"{flag} must be non-negative")
+    # The limits of ``diskflows oracle``: n at most its cap, and no more
+    # candidates than n = 7's, about 22 s on two vCPUs.
+    n = args.oracle_max_n
+    if n > DEFAULT_CAP:
+        parser.error(f"--oracle-max-n {n} exceeds the cap {DEFAULT_CAP}")
+    tries, limit = candidate_count(n), candidate_count(7)
+    if tries > limit:
+        parser.error(
+            f"--oracle-max-n {n} would try {tries} candidates"
+            f" at n={n}, more than the {limit} at n=7"
+        )
     return args
 
 

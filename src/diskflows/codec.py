@@ -9,7 +9,10 @@ and a prime is ``'``, in that order, e.g. ``20~0~'``.
 Two text layouts exist.  The compact form concatenates the tokens and is
 only possible when every value is a single digit; the spaced form
 separates tokens with single spaces.  Presence of whitespace in the
-input decides which grammar applies.
+input decides which grammar applies.  A compact code has only 40
+distinct tokens (ten digits, each with or without an overline and a
+prime), so its parser takes them from a fixed table instead of building
+one per character.
 
 A code is *admissible* when it satisfies the four necessary conditions
 checked by :func:`check_admissible`:
@@ -48,6 +51,7 @@ from .model import (
     ROOT_LOWER_DIRECTION,
     DistinguishedGraph,
     PlaneRootedTree,
+    _unchecked,
     classify_cell,  # not called here; kept for the tracer in bench/layers.py
     source_corners,
 )
@@ -128,22 +132,26 @@ def _parse_spaced(text: str) -> list[CodeToken]:
     return out
 
 
+#: The 40 compact tokens by their text: a digit, then ``~`` and ``'`` if marked.
+_COMPACT_TOKENS = {
+    t.text(): t
+    for t in (
+        CodeToken(value, overline, prime)
+        for value in range(10)
+        for overline in (False, True)
+        for prime in (False, True)
+    )
+}
+_COMPACT_TOKEN = re.compile(r"[0-9]~?'?")
+_COMPACT_RUN = re.compile(r"(?:[0-9]~?'?)*")
+
+
 def _parse_compact(text: str) -> list[CodeToken]:
-    out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if not "0" <= ch <= "9":
-            raise CodeSyntaxError(f"unexpected character {ch!r} at position {i}")
-        i += 1
-        overline = i < len(text) and text[i] == "~"
-        if overline:
-            i += 1
-        prime = i < len(text) and text[i] == "'"
-        if prime:
-            i += 1
-        out.append(CodeToken(int(ch), overline, prime))
-    return out
+    # The run of tokens ends where a token should start but no digit does.
+    end = _COMPACT_RUN.match(text).end()
+    if end < len(text):
+        raise CodeSyntaxError(f"unexpected character {text[end]!r} at position {end}")
+    return [_COMPACT_TOKENS[part] for part in _COMPACT_TOKEN.findall(text)]
 
 
 def parse_code(text: str) -> Code:
@@ -348,15 +356,18 @@ def _render(
 
 def code_to_graph(code: Code) -> DistinguishedGraph:
     """Decode a code into a decorated tree (needs properties 1 and 3)."""
+    tokens = code.tokens
     try:
-        tree = PlaneRootedTree.from_up_degrees([t.value for t in code.tokens])
+        tree = PlaneRootedTree.from_up_degrees([t.value for t in tokens])
     except ValueError as exc:
         raise ValueError(f"code {serialize_code(code)!r} is not a tree sequence: {exc}")
     colors = (ROOT_LOWER_DIRECTION,) + tuple(
-        RED if t.overline else BLACK for t in code.tokens[1:]
+        RED if t.overline else BLACK for t in tokens[1:]
     )
-    primes = (False,) + tuple(t.prime for t in code.tokens[1:])
-    return DistinguishedGraph(tree, colors, primes)
+    primes = (False,) + tuple(bool(t.prime) for t in tokens[1:])
+    # One slot per vertex, the root's fixed and every color +1 or -1 by
+    # construction: the graph's checks would find nothing.
+    return _unchecked(DistinguishedGraph, tree=tree, colors=colors, primes=primes)
 
 
 def graph_to_code(graph: DistinguishedGraph) -> Code:

@@ -30,6 +30,13 @@ not occur in a flow.  :func:`source_corners` is the one count of sources
 that the classifier and the validator share; the full corner types
 (source, sink, hyperbolic) are worked out independently by the oracle.
 
+A tree is checked once per construction.  ``PlaneRootedTree(children)``
+checks every block; :meth:`PlaneRootedTree.from_up_degrees` builds
+blocks that are consecutive by construction, checks while building that
+each starts after its owner, with the same message, and skips the second
+check.  A decoded graph is built the same way (see
+``codec.code_to_graph``).
+
 The choices a cell allows are stated once, as :data:`CELL_AUTOMATON`,
 and read through :func:`_completions`: the enumeration walk reads them
 so, and :func:`enumerate_cell_configs` tags what it reads.
@@ -59,6 +66,16 @@ class CellKind(Enum):
 # ======================================================================
 # plane rooted trees
 # ======================================================================
+
+def _unchecked(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` holding ``fields`` as
+    given, without ``__post_init__``: only for fields built valid and
+    already normalized, so that each tree is checked once."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
 
 @dataclass(frozen=True)
 class PlaneRootedTree:
@@ -97,6 +114,10 @@ class PlaneRootedTree:
         """Build the tree whose level-order up-degree sequence is ``degrees``.
 
         The sum is checked first, so no block is longer than the sequence.
+        The blocks are consecutive and cover 1..V-1 by construction, so
+        the one check ``__post_init__`` could still fail, that each block
+        starts after its owner, runs as they are built, with the same
+        message, and ``__post_init__`` does not run again.
         """
         degrees = tuple(int(d) for d in degrees)
         if any(d < 0 for d in degrees):
@@ -105,10 +126,12 @@ class PlaneRootedTree:
             raise ValueError("up-degrees do not sum to vertex count minus one")
         blocks = []
         nxt = 1
-        for d in degrees:
+        for v, d in enumerate(degrees):
+            if d and nxt <= v:
+                raise ValueError(f"vertex {v} has no parent of smaller id")
             blocks.append(tuple(range(nxt, nxt + d)))
             nxt += d
-        return cls(tuple(blocks))
+        return _unchecked(cls, children=tuple(blocks))
 
     @property
     def vertex_count(self) -> int:

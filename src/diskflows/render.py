@@ -7,7 +7,11 @@ the base point on the disk boundary, grouped as ``<g class="loop">``
 elements whose XML nesting mirrors the tree.  Each loop carries one
 arrowhead (class ``arrow forward`` or ``arrow reversed`` according to
 its color) and every cyclic cell gets one ``<circle
-class="elliptic-dot">`` at its elliptic corner.
+class="elliptic-dot">`` at its elliptic corner.  A cell's kind is read
+off the marks of its vertex and its children with
+:func:`~diskflows.model.source_corners`, as the validator reads it; no
+cell boundary is built.  Each loop is written as one formatted block,
+and the parts that never change are formatted once, at import.
 """
 
 from __future__ import annotations
@@ -16,16 +20,29 @@ import math
 
 from .codec import check_realizable, graph_to_code, serialize_code
 from .model import (
+    BLACK,
     RED,
-    CellKind,
     DistinguishedGraph,
-    boundary_directions,
-    classify_cell,
+    classify_cell,  # not called here; kept for the tracer in bench/layers.py
+    source_corners,
 )
 
 # ======================================================================
 # Graphviz
 # ======================================================================
+
+_DOT_HEAD = """digraph flow_code {
+  ordering=out;
+  node [shape=circle];
+  0 [shape=doublecircle, label="0"];"""
+
+#: The attributes of an edge, by the color and the prime of its child.
+_DOT_EDGE = {
+    (color, prime): f"color={name}" + (f", label=\"'\", fontcolor={name}" if prime else "")
+    for color, name in ((BLACK, "black"), (RED, "red"))
+    for prime in (False, True)
+}
+
 
 def tree_to_dot(graph: DistinguishedGraph) -> str:
     """Graphviz source for the decorated tree.
@@ -35,24 +52,14 @@ def tree_to_dot(graph: DistinguishedGraph) -> str:
     and ``ordering=out`` preserves the child order.
     """
     tree = graph.tree
-    lines = [
-        "digraph flow_code {",
-        "  ordering=out;",
-        "  node [shape=circle];",
-        '  0 [shape=doublecircle, label="0"];',
-    ]
-    for v in range(1, tree.vertex_count):
-        lines.append(f'  {v} [label="{v}"];')
-    for v in range(tree.vertex_count):
-        for c in tree.children[v]:
-            color = "red" if graph.colors[c] == RED else "black"
-            attrs = [f"color={color}"]
-            if graph.primes[c]:
-                attrs.append("label=\"'\"")
-                attrs.append(f"fontcolor={color}")
-            lines.append(f"  {v} -> {c} [{', '.join(attrs)}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    colors, primes = graph.colors, graph.primes
+    lines = [_DOT_HEAD]
+    lines.extend(f'  {v} [label="{v}"];' for v in range(1, tree.vertex_count))
+    for v, kids in enumerate(tree.children):
+        for c in kids:
+            lines.append(f"  {v} -> {c} [{_DOT_EDGE[colors[c], primes[c]]}];")
+    lines.append("}\n")
+    return "\n".join(lines)
 
 
 # ======================================================================
@@ -69,9 +76,20 @@ RHO0 = 0.42 * DISK_R         # radial extent of depth-1 loops
 DECAY = 0.72
 INDENT_DEPTH = 8             # deeper loops keep this indent: the SVG stays linear
 
-
-def _fmt(x: float) -> str:
-    return f"{x:.2f}"
+_BASE_XY = f"{BASE[0]:.2f} {BASE[1]:.2f}"
+_SVG_OPEN = (
+    '<?xml version="1.0" encoding="UTF-8"?>\n'
+    f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE:.2f}" '
+    f'height="{SIZE:.2f}" viewBox="0 0 {SIZE:.2f} {SIZE:.2f}">'
+)
+_DISK = (
+    f'  <circle class="disk" cx="{CENTER:.2f}" cy="{CENTER:.2f}" '
+    f'r="{DISK_R:.2f}" fill="none" stroke="#000000" stroke-width="1.5"/>'
+)
+_SVG_CLOSE = (
+    f'  <circle class="base-point" cx="{BASE[0]:.2f}" cy="{BASE[1]:.2f}" '
+    'r="5" fill="#000000"/>\n</svg>\n'
+)
 
 
 def _unit(angle_deg: float) -> tuple[float, float]:
@@ -100,62 +118,70 @@ def _intervals(tree) -> dict[int, tuple[float, float]]:
     return spans
 
 
-def _loop_geometry(span: tuple[float, float], rho: float):
-    """Control points, apex and apex tangent of one teardrop curve."""
+def _loop(v: int, color: int, span: tuple[float, float], rho: float, indent: str) -> str:
+    """The group tag, teardrop curve and arrowhead of loop v, one block.
+
+    The curve's control points sit on the span's rays; the arrowhead
+    sits at the curve's apex, along the tangent there, reversed on a
+    red loop.
+    """
     a, b = span
     half = math.radians(b - a) / 2.0
     ctrl = min(4.0 * rho / (3.0 * max(math.cos(half), 0.15)), 1.9 * rho)
     ua, ub = _unit(a), _unit(b)
-    c1 = (BASE[0] + ctrl * ua[0], BASE[1] + ctrl * ua[1])
-    c2 = (BASE[0] + ctrl * ub[0], BASE[1] + ctrl * ub[1])
-    apex = (
-        BASE[0] + 0.375 * ctrl * (ua[0] + ub[0]),
-        BASE[1] + 0.375 * ctrl * (ua[1] + ub[1]),
-    )
+    apex_x = BASE[0] + 0.375 * ctrl * (ua[0] + ub[0])
+    apex_y = BASE[1] + 0.375 * ctrl * (ua[1] + ub[1])
     tx, ty = ub[0] - ua[0], ub[1] - ua[1]
     norm = math.hypot(tx, ty) or 1.0
-    return c1, c2, apex, (tx / norm, ty / norm)
-
-
-def _arrow_path(apex, tangent, rho: float, reversed_: bool) -> str:
-    s = max(3.5, min(8.0, 0.16 * rho))
-    dx, dy = tangent
-    if reversed_:
+    dx, dy = tx / norm, ty / norm
+    if color == RED:
+        stroke, arrow = "#bb0000", "arrow reversed"
         dx, dy = -dx, -dy
+    else:
+        stroke, arrow = "#000000", "arrow forward"
     px, py = -dy, dx
-    tip = (apex[0] + s * dx, apex[1] + s * dy)
-    b1 = (apex[0] - 0.8 * s * dx + 0.65 * s * px, apex[1] - 0.8 * s * dy + 0.65 * s * py)
-    b2 = (apex[0] - 0.8 * s * dx - 0.65 * s * px, apex[1] - 0.8 * s * dy - 0.65 * s * py)
+    s = max(3.5, min(8.0, 0.16 * rho))
     return (
-        f"M {_fmt(tip[0])} {_fmt(tip[1])} L {_fmt(b1[0])} {_fmt(b1[1])}"
-        f" L {_fmt(b2[0])} {_fmt(b2[1])} Z"
+        f'{indent}<g class="loop" data-vertex="{v}" data-color="{color}">\n'
+        f'{indent}  <path class="loop-path" d="M {_BASE_XY} '
+        f"C {BASE[0] + ctrl * ua[0]:.2f} {BASE[1] + ctrl * ua[1]:.2f} "
+        f"{BASE[0] + ctrl * ub[0]:.2f} {BASE[1] + ctrl * ub[1]:.2f} "
+        f'{_BASE_XY} Z" fill="none" stroke="{stroke}" stroke-width="1.6"/>\n'
+        f'{indent}  <path class="{arrow}" data-vertex="{v}" '
+        f'd="M {apex_x + s * dx:.2f} {apex_y + s * dy:.2f} '
+        f"L {apex_x - 0.8 * s * dx + 0.65 * s * px:.2f} "
+        f"{apex_y - 0.8 * s * dy + 0.65 * s * py:.2f} "
+        f"L {apex_x - 0.8 * s * dx - 0.65 * s * px:.2f} "
+        f'{apex_y - 0.8 * s * dy - 0.65 * s * py:.2f} Z" fill="{stroke}"/>'
     )
 
 
 def _cell_dot(graph, v: int, spans, rho_of_cell: float, indent: str) -> str | None:
-    """Dot element for the cell of v when that cell is cyclic."""
-    boundary = boundary_directions(graph, v)
-    if classify_cell(boundary) is not CellKind.CYCLIC:
-        return None
+    """Dot element for the cell of v when that cell is cyclic.
+
+    Side 0 runs in the direction of v's color and side i against child
+    i's color; the cell is cyclic when those sides have no source corner.
+    """
+    colors = graph.colors
     kids = graph.tree.children[v]
+    lower = colors[v]
+    if source_corners([lower] + [-colors[c] for c in kids]):
+        return None
     entry = 0
     for j, c in enumerate(kids, start=1):
         if graph.primes[c]:
             entry = j
     # The flow along side i enters corner i in a +1 cell and corner i-1 in a -1 cell.
-    corner = entry if boundary.sides[0] == 1 else (entry - 1) % len(boundary)
+    corner = entry if lower == 1 else (entry - 1) % (len(kids) + 1)
+    # Corner i lies between the rays of sides i and i+1: side 0 has the
+    # cell's own rays, side j the rays of child j.
     own = spans[v] if v else ROOT_RAYS
-    rays = [own[0]]
-    for c in kids:
-        rays.extend(spans[c])
-    rays.append(own[1])
-    gap = (rays[2 * corner], rays[2 * corner + 1])
-    angle = (gap[0] + gap[1]) / 2.0
-    dist = 0.32 * rho_of_cell
-    x, y = _at(dist, angle)
+    lo = spans[kids[corner - 1]][1] if corner else own[0]
+    hi = spans[kids[corner]][0] if corner < len(kids) else own[1]
+    x, y = _at(0.32 * rho_of_cell, (lo + hi) / 2.0)
     return (
         f'{indent}<circle class="elliptic-dot" data-cell="{v}" '
-        f'cx="{_fmt(x)}" cy="{_fmt(y)}" r="3.5" fill="#000000"/>'
+        f'cx="{x:.2f}" cy="{y:.2f}" r="3.5" fill="#000000"/>'
     )
 
 
@@ -167,17 +193,12 @@ def diagram_to_svg(graph: DistinguishedGraph) -> str:
         raise ValueError(f"graph is not realizable: {report.detail}")
 
     tree = graph.tree
+    colors = graph.colors
     spans = _intervals(tree)
-    depths = tree.depths()
-    rho = {v: RHO0 * DECAY ** (depths[v] - 1) for v in range(1, tree.vertex_count)}
-
     lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(SIZE)}" '
-        f'height="{_fmt(SIZE)}" viewBox="0 0 {_fmt(SIZE)} {_fmt(SIZE)}">',
+        _SVG_OPEN,
         f"  <title>flow diagram for code {serialize_code(code)}</title>",
-        f'  <circle class="disk" cx="{_fmt(CENTER)}" cy="{_fmt(CENTER)}" '
-        f'r="{_fmt(DISK_R)}" fill="none" stroke="#000000" stroke-width="1.5"/>',
+        _DISK,
     ]
 
     root_dot = _cell_dot(graph, 0, spans, RHO0 / DECAY, "  ")
@@ -193,33 +214,13 @@ def diagram_to_svg(graph: DistinguishedGraph) -> str:
         if closing:
             lines.append(f"{indent}</g>")
             continue
-        color = graph.colors[v]
-        stroke = "#bb0000" if color == RED else "#000000"
-        reversed_ = color == RED
-        c1, c2, apex, tangent = _loop_geometry(spans[v], rho[v])
-        lines.append(
-            f'{indent}<g class="loop" data-vertex="{v}" data-color="{color}">'
-        )
-        lines.append(
-            f'{indent}  <path class="loop-path" d="M {_fmt(BASE[0])} {_fmt(BASE[1])} '
-            f"C {_fmt(c1[0])} {_fmt(c1[1])} {_fmt(c2[0])} {_fmt(c2[1])} "
-            f'{_fmt(BASE[0])} {_fmt(BASE[1])} Z" fill="none" stroke="{stroke}" '
-            'stroke-width="1.6"/>'
-        )
-        arrow_cls = "arrow reversed" if reversed_ else "arrow forward"
-        lines.append(
-            f'{indent}  <path class="{arrow_cls}" data-vertex="{v}" '
-            f'd="{_arrow_path(apex, tangent, rho[v], reversed_)}" fill="{stroke}"/>'
-        )
-        dot = _cell_dot(graph, v, spans, rho[v], indent + "  ")
+        rho = RHO0 * DECAY ** (depth - 1)
+        lines.append(_loop(v, colors[v], spans[v], rho, indent))
+        dot = _cell_dot(graph, v, spans, rho, indent + "  ")
         if dot:
             lines.append(dot)
         stack.append((v, depth, True))
         stack.extend((c, depth + 1, False) for c in reversed(tree.children[v]))
 
-    lines.append(
-        f'  <circle class="base-point" cx="{_fmt(BASE[0])}" cy="{_fmt(BASE[1])}" '
-        'r="5" fill="#000000"/>'
-    )
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+    lines.append(_SVG_CLOSE)
+    return "\n".join(lines)

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diskflows.codec import code_to_graph, parse_code
+from diskflows.codec import code_to_graph, parse_code, serialize_code
+from diskflows.enumeration import enumerate_flows
 from diskflows.model import (
     BLACK,
     CELL_AUTOMATON,
@@ -77,6 +78,65 @@ def test_tree_rejects_a_child_that_does_not_follow_its_parent(children):
     # is its own child, so it hangs from no earlier vertex.
     with pytest.raises(ValueError, match="no parent of smaller id"):
         PlaneRootedTree(children)
+
+
+def checked_tree(degrees) -> PlaneRootedTree:
+    """The tree of an up-degree sequence through the fully checked
+    constructor: the sequence checks, then every block through
+    ``PlaneRootedTree(children)``."""
+    degrees = tuple(degrees)
+    if any(d < 0 for d in degrees):
+        raise ValueError("up-degrees are non-negative")
+    if sum(degrees) != len(degrees) - 1:
+        raise ValueError("up-degrees do not sum to vertex count minus one")
+    bounds = list(itertools.accumulate(degrees, initial=1))
+    return PlaneRootedTree(tuple(tuple(range(a, b)) for a, b in zip(bounds, bounds[1:])))
+
+
+@pytest.mark.parametrize(
+    "sequence",
+    [
+        "01",  # vertex 1 hangs from no earlier vertex
+        "0 1",
+        "1 0 1 0",  # one edge short
+        (2, -1, 0, 0),
+        (3, 0, 0),
+        "1" * 500 + "0300",  # vertex 501 opens a block with no edge pending
+        (),
+    ],
+    ids=["01", "0 1", "1 0 1 0", "negative", "wrong-sum", "long", "empty"],
+)
+def test_tree_from_up_degrees_keeps_the_checked_constructor_errors(sequence):
+    """Code texts are decoded too: ``code_to_graph`` names the code and
+    passes the tree's message on."""
+    code = parse_code(sequence) if isinstance(sequence, str) else None
+    degrees = [t.value for t in code.tokens] if code else sequence
+    with pytest.raises(ValueError) as checked:
+        checked_tree(degrees)
+    with pytest.raises(ValueError) as built:
+        PlaneRootedTree.from_up_degrees(degrees)
+    assert str(built.value) == str(checked.value)
+    if code:
+        with pytest.raises(ValueError) as decoded:
+            code_to_graph(code)
+        assert str(decoded.value) == (
+            f"code {serialize_code(code)!r} is not a tree sequence: {checked.value}"
+        )
+
+
+def test_code_to_graph_equals_the_checked_constructors_on_small_codes():
+    for n in range(5):
+        for code in enumerate_flows(n):
+            tokens = code.tokens
+            expected = DistinguishedGraph(
+                checked_tree(t.value for t in tokens),
+                (1,) + tuple(RED if t.overline else BLACK for t in tokens[1:]),
+                (False,) + tuple(t.prime for t in tokens[1:]),
+            )
+            graph = code_to_graph(code)
+            assert graph == expected
+            assert graph.tree.children == expected.tree.children
+            assert all(type(p) is bool for p in graph.primes)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 import re
 import xml.etree.ElementTree as ET
@@ -11,7 +12,7 @@ import pytest
 
 from diskflows.cli import main
 from diskflows.codec import code_to_graph, parse_code
-from diskflows.enumeration import enumerate_flows
+from diskflows.enumeration import enumerate_flows, iter_flows
 from diskflows.model import CellKind, boundary_directions, classify_cell
 from diskflows.render import INDENT_DEPTH, diagram_to_svg, tree_to_dot
 
@@ -154,6 +155,36 @@ def test_svg_of_every_small_code_is_unchanged():
             digest.update(diagram_to_svg(code_to_graph(code)).encode())
     assert digest.hexdigest() == (
         "6c27733b1adf03a63d09da805a82e0d3dbee16a76256674ba1969fc85ee35dfe"
+    )
+
+
+def test_dot_of_every_small_code_is_unchanged():
+    digest = hashlib.sha256()
+    for n in range(5):
+        for code in enumerate_flows(n):
+            digest.update(tree_to_dot(code_to_graph(code)).encode())
+    assert digest.hexdigest() == (
+        "929d778ba99715db56ddde17823fc75446e1ee24731f3309f26b3747c8677587"
+    )
+
+
+def test_svg_and_dot_of_sampled_larger_codes_are_unchanged():
+    """Every 1000th code at n = 7, a path deeper than INDENT_DEPTH and a
+    spaced code, hashed per view."""
+    codes = list(itertools.islice(iter_flows(7), 0, None, 1000))
+    codes.append(parse_code("1" * 30 + "0"))
+    codes.append(parse_code("10 0 0 0 0 0 0 0 0 0 0"))
+    assert len(codes) == 257
+    svg_digest, dot_digest = hashlib.sha256(), hashlib.sha256()
+    for code in codes:
+        graph = code_to_graph(code)
+        svg_digest.update(diagram_to_svg(graph).encode())
+        dot_digest.update(tree_to_dot(graph).encode())
+    assert svg_digest.hexdigest() == (
+        "48a61f6b5c7f5ac38f976dba922bdc497312118a1f3e6e3211d4976d506b0ce8"
+    )
+    assert dot_digest.hexdigest() == (
+        "574363610b9ee59715b100626d8d355c1e3ca9dd947b0c24f2a1924c09468eef"
     )
 
 

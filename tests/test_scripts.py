@@ -12,6 +12,7 @@ import pytest
 
 from diskflows.codec import serialize_code
 from diskflows.enumeration import iter_flows
+from diskflows.oracle import candidate_count
 
 ROOT = Path(__file__).resolve().parents[1]
 GALLERY = ROOT / "scripts" / "render_gallery.py"
@@ -104,5 +105,22 @@ def test_reproduce_rejects_a_negative_bound(flag, tmp_path):
     proc = _script(REPRODUCE, flag, "-1", "--out", str(out), timeout=60)
     assert proc.returncode == 2
     assert f"{flag} must be non-negative" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n", [8, 9, 10, 11])
+def test_reproduce_refuses_an_oracle_bound_past_n7_candidates(n, tmp_path):
+    # Unguarded, n = 8 alone runs for minutes; the refusal comes before any work.
+    out = tmp_path / "out"
+    proc = _script(REPRODUCE, "--oracle-max-n", str(n), "--out", str(out), timeout=1)
+    assert proc.returncode == 2
+    if n <= 10:
+        assert (
+            f"--oracle-max-n {n} would try {candidate_count(n)} candidates at n={n},"
+            " more than the 2728704 at n=7"
+        ) in proc.stderr
+    else:
+        assert f"--oracle-max-n {n} exceeds the cap 10" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not out.exists()
