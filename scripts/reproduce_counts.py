@@ -17,7 +17,7 @@ import sys
 import time
 from pathlib import Path
 
-from diskflows.cli import DEFAULT_CAP
+from diskflows.cli import DEFAULT_CAP, ENUM_CAP
 from diskflows.codec import serialize_code
 from diskflows.enumeration import (
     TableRow,
@@ -54,6 +54,12 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     for flag in ("--max-n", "--list-max-n", "--oracle-max-n"):
         if getattr(args, flag[2:].replace("-", "_")) < 0:
             parser.error(f"{flag} must be non-negative")
+    # Both stream every code up to their n, as ``diskflows enum`` does;
+    # n = 10 alone has 133,767,543 codes.
+    for flag in ("--max-n", "--list-max-n"):
+        n = getattr(args, flag[2:].replace("-", "_"))
+        if n > ENUM_CAP:
+            parser.error(f"{flag} {n} exceeds the cap {ENUM_CAP}")
     # The limits of ``diskflows oracle``: n at most its cap, and no more
     # candidates than n = 7's, about 22 s on two vCPUs.
     n = args.oracle_max_n

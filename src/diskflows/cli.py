@@ -206,10 +206,12 @@ def _cmd_oracle(args) -> int:
         raise _UsageError(
             f"oracle at n={args.n} would try {tries} candidates, more than the {limit} at n=7"
         )
-    _, report = oracle_enumerate(args.n, bound=args.bound)
-    sys.stdout.write(report.to_text())
-    if args.json is not None:
-        with open(args.json, "w", encoding="utf-8") as fh:
+    # The JSON target opens before the run, so a bad path fails at once.
+    fh = None if args.json is None else open(args.json, "w", encoding="utf-8")
+    with fh or contextlib.nullcontext():
+        _, report = oracle_enumerate(args.n, bound=args.bound)
+        sys.stdout.write(report.to_text())
+        if fh is not None:
             json.dump(report.to_json_dict(), fh, indent=2)
             fh.write("\n")
     return EXIT_OK

@@ -23,13 +23,13 @@ whatever the cell's size.  The walk stops at the token that places the
 last edge: its value is forced, n minus the values before it, so only
 its decoration varies, and each decoration is followed by leaves of
 value 0, one segment per sibling block.  A segment's decorations are its
-per-segment completions, :func:`~diskflows.model._completions`, kept per
-stream by (node, length).  So the walk holds O(n) positions and
-completions sized by n alone, never by the number of codes.  That one
-walk, :func:`_walk`, lists codes only and takes the factory that makes
-each token.  :func:`iter_flows` passes the interned
-:class:`~diskflows.codec.CodeToken` constructor and builds a
-:class:`~diskflows.codec.Code` per code.  :func:`iter_code_texts`, the
+completions, listed by :func:`~diskflows.model._completions` and kept by
+the walk's own memo per stream, by (node, length): at most 6(n+1) lists.
+So the walk holds O(n) positions and completions sized by n alone, never
+by the number of codes.  That one walk, :func:`_walk`, lists codes only
+and takes the factory that makes each token.  :func:`iter_flows` passes
+the interned :class:`~diskflows.codec.CodeToken` constructor and builds
+a :class:`~diskflows.codec.Code` per code.  :func:`iter_code_texts`, the
 listing path of ``diskflows enum``, passes a cached text per token and
 joins each completion list to text once per stream and separator, so it
 builds no code object and joins no tail token by token.
@@ -185,9 +185,11 @@ def _walk(
     block: the rest of its block, from the node its decoration leads to,
     then the whole blocks of the later parents, its own block last.  A
     segment's decorations are its :func:`~diskflows.model._completions`,
-    kept per stream by (node, length), at most 6(n+1) lists.  The folds
-    of a position depend only on its node, the rest of its block and its
-    value, and are kept by those three: O(n^2) short lists of references.
+    which only ``segment`` asks for and keeps, by (node, length): at most
+    6(n+1) lists per stream.  The automaton's nodes live for good, so
+    their ids stay put.  The folds of a position depend only on its node,
+    the rest of its block and its value, and are kept by those three:
+    O(n^2) short lists of references.
     """
     if n < 0:
         raise ValueError("separatrix count is non-negative")
@@ -198,11 +200,12 @@ def _walk(
     picks = [0] * (n + 1)  # index of the chosen decoration in nodes[i]
     automaton = CELL_AUTOMATON  # a local name, read at every block start
     tokens = [None] * (n + 1)
-    memo: dict = {}
+    memo: dict = {}  # the completions of a segment, by (id(node), length)
     made: dict = {}  # the folds of a position, by (node, rest, value)
 
     def segment(node, length):
-        return memo.get((id(node), length)) or _completions(memo, node, length, token)
+        key = id(node), length  # a list is never empty, so never falsy
+        return memo.get(key) or memo.setdefault(key, _completions(node, length, token))
 
     values[0] = placed[1] = min(n, 1)  # the root's least value
     i = 0

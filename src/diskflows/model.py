@@ -38,8 +38,11 @@ check.  A decoded graph is built the same way (see
 ``codec.code_to_graph``).
 
 The choices a cell allows are stated once, as :data:`CELL_AUTOMATON`,
-and read through :func:`_completions`: the enumeration walk reads them
-so, and :func:`enumerate_cell_configs` tags what it reads.
+and read through :func:`_completions`, which lists the decorations of
+one length and keeps nothing.  The callers that reuse what it lists
+cache it: the enumeration walk keeps the lists per stream, and
+:func:`enumerate_cell_configs` keeps what it tags per cell size and
+direction.
 """
 
 from __future__ import annotations
@@ -151,13 +154,6 @@ class PlaneRootedTree:
             for c in kids:
                 par[c] = v
         return tuple(par)
-
-    def depths(self) -> tuple[int, ...]:
-        dep = [0] * self.vertex_count
-        for v, kids in enumerate(self.children):
-            for c in kids:
-                dep[c] = dep[v] + 1
-        return tuple(dep)
 
 
 @dataclass(frozen=True)
@@ -315,30 +311,27 @@ CELL_AUTOMATON = {color: _cell_automaton(color) for color in (BLACK, RED)}
 
 
 def _completions(
-    memo: dict, node: list, length: int, token: Callable[[int, bool, bool], object]
+    node: list, length: int, token: Callable[[int, bool, bool], object]
 ) -> list[tuple]:
     """Every decoration of ``length`` children read from the automaton
     node ``node``, in automaton order, each a tuple of what ``token``
     makes of its tokens, all of value 0.
 
-    ``memo`` keeps the lists by ``(id(node), length)``; the nodes live in
-    :data:`CELL_AUTOMATON` for good, so their ids stay put.  The nodes
-    reachable from ``node`` are filled length by length, so no call
-    recurses, and ``memo`` holds at most six nodes times the lengths
-    asked for.
+    Only ``length`` is listed, depth first from an explicit stack, so no
+    call recurses and nothing shorter is kept; a caller that asks for a
+    list again caches it.
     """
-    reach = [node]
-    for x in reach:  # the loop reaches what it appends
-        reach.extend(nxt for *_, nxt in x if all(nxt is not y for y in reach))
-    for k in range(length + 1):
-        for x in reach:
-            if (id(x), k) not in memo:
-                memo[id(x), k] = [
-                    (token(0, overline, prime),) + rest
-                    for overline, prime, _, nxt in x
-                    for rest in memo[id(nxt), k - 1]
-                ] if k else [()]
-    return memo[id(node), length]
+    # path[1:depth + 1] holds the tokens read so far: each pop writes its
+    # token over the last one read at its depth.  Options are pushed in
+    # reverse, so they pop in automaton order.
+    out, path, stack = [], [None] * (length + 1), [(0, None, node)]
+    while stack:
+        depth, path[depth], x = stack.pop()
+        if depth == length:
+            out.append(tuple(path[1:]))
+        else:
+            stack += [(depth + 1, token(0, o, p), nxt) for o, p, _, nxt in reversed(x)]
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -358,7 +351,7 @@ def enumerate_cell_configs(n: int, lower_direction: int) -> tuple[CellDecoration
         raise ValueError("inner loop count is non-negative")
     out: list[CellDecoration] = []
     node = CELL_AUTOMATON[lower_direction]
-    for marks in _completions({}, node, n, lambda _, overline, prime: (overline, prime)):
+    for marks in _completions(node, n, lambda _, overline, prime: (overline, prime)):
         colors = tuple(RED if overline else BLACK for overline, _ in marks)
         primes = tuple(prime for _, prime in marks)
         run = [i for i, c in enumerate(colors, 1) if c == lower_direction]

@@ -502,6 +502,18 @@ def test_oracle_report_bytes_at_five_loops_are_pinned(tmp_path, capsys):
     assert hashlib.sha256(target.read_bytes()).hexdigest() == ORACLE_N5_JSON_SHA256
 
 
+def test_oracle_fails_at_once_on_a_json_path_it_cannot_open(tmp_path, capsys):
+    # Opened after the run, the bad path cost 2.3 s and a 2,334-line report.
+    target = tmp_path / "missing" / "report.json"
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "oracle", "--n", "6", "--bound", "6", "--json", str(target))
+    assert time.perf_counter() - start < 1
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: [Errno 2] No such file or directory")
+    assert not target.parent.exists()
+
+
 # sha256 of `oracle --n 6 --bound 6` stdout: 32890 codes and 2328 witnesses.
 ORACLE_N6_TEXT_SHA256 = "c783d817866aa7ddf19da187435f4c933de9f3f5be3fafa9c76015122ae5a245"
 

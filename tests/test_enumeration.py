@@ -6,7 +6,7 @@ import hashlib
 import math
 import tracemalloc
 from collections import deque
-from itertools import islice
+from itertools import islice, product
 
 import pytest
 
@@ -348,27 +348,68 @@ def test_leaf_completions_count_by_automaton_node(color):
     start = CELL_AUTOMATON[color]
     (back,) = [nxt for *_, nxt in start if len(nxt) == 1]
     (away,) = [nxt for *_, nxt in start if len(nxt) == 2]
-    memo = {}
     for j in range(9):
         for node, count in ((start, (j + 1) * (j + 2) // 2), (away, j + 1), (back, 1)):
-            tails = enumeration._completions(memo, node, j, CodeToken)
+            tails = enumeration._completions(node, j, CodeToken)
             assert len(tails) == len(set(tails)) == count
             assert tails == sorted(tails)
             assert all(len(t) == j and all(tok.value == 0 for tok in t) for t in tails)
 
 
-def test_completion_memo_is_sized_by_n_alone(monkeypatch):
-    memos = []
+def test_completions_list_the_accepted_mark_sequences_in_order():
+    # The reference tries every sequence of a color's marks, read from
+    # one automaton node; none is built by the lister.
+    def accepted(node, marks, length):
+        out = []
+        for seq in product(marks, repeat=length):
+            x = node
+            for mark in seq:
+                x = next((nxt for *option, _, nxt in x if tuple(option) == mark), None)
+                if x is None:
+                    break
+            else:
+                out.append(seq)
+        return sorted(out)
+
+    nodes = 0
+    for color in (BLACK, RED):
+        reach = [CELL_AUTOMATON[color]]
+        for x in reach:  # the loop reaches what it appends
+            reach.extend(nxt for *_, nxt in x if all(nxt is not y for y in reach))
+        marks = {(overline, prime) for x in reach for overline, prime, *_ in x}
+        nodes += len(reach)
+        for node in reach:
+            for length in range(11):
+                listed = enumeration._completions(node, length, lambda _, o, p: (o, p))
+                assert listed == accepted(node, marks, length)
+    assert nodes == 6
+
+
+def test_the_walk_lists_each_completion_once_per_stream(monkeypatch):
+    calls = []
     completions = enumeration._completions
 
-    def recording(memo, *args):
-        memos.append(memo)
-        return completions(memo, *args)
+    def recording(node, length, token):
+        calls.append((id(node), length))
+        return completions(node, length, token)
 
     monkeypatch.setattr(enumeration, "_completions", recording)
     assert sum(1 for _ in iter_code_texts(8)) == count_flows(8)
-    assert len({id(m) for m in memos}) == 1
-    assert len(memos[0]) <= 6 * 9
+    assert len(set(calls)) == len(calls) <= 6 * 9
+
+
+def test_cell_configs_of_sixty_loops_peak_small():
+    # Every shorter length listed and kept as well peaked at 20.6 MiB.
+    enumerate_cell_configs.cache_clear()
+    tracemalloc.start()
+    try:
+        enumerate_cell_configs(60, BLACK)
+        enumerate_cell_configs(60, RED)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        enumerate_cell_configs.cache_clear()
+    assert peak < 12 * 2**20
 
 
 def test_walk_yields_per_last_edge_prefix_and_joins_each_list_once(monkeypatch):

@@ -44,7 +44,6 @@ def test_tree_from_up_degrees_builds_consecutive_child_blocks():
     assert tree.separatrix_count == 3
     assert tree.up_degrees == (2, 1, 0, 0)
     assert tree.parents() == (None, 0, 0, 1)
-    assert tree.depths() == (0, 1, 1, 2)
 
 
 def test_tree_single_vertex():

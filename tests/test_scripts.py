@@ -124,3 +124,16 @@ def test_reproduce_refuses_an_oracle_bound_past_n7_candidates(n, tmp_path):
         assert f"--oracle-max-n {n} exceeds the cap 10" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("n", [10, 11])
+@pytest.mark.parametrize("flag", ["--max-n", "--list-max-n"])
+def test_reproduce_refuses_a_listing_bound_past_the_enum_cap(flag, n, tmp_path):
+    # Unguarded, --max-n 10 streams 133,767,543 codes and --list-max-n 10
+    # writes about 1.5 GB; the refusal comes before any work.
+    out = tmp_path / "out"
+    proc = _script(REPRODUCE, flag, str(n), "--out", str(out), timeout=1)
+    assert proc.returncode == 2
+    assert f"{flag} {n} exceeds the cap 9" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
