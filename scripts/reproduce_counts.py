@@ -22,8 +22,7 @@ from diskflows.codec import serialize_code
 from diskflows.enumeration import (
     TableRow,
     count_flows,
-    iter_code_texts,
-    iter_flows,
+    iter_code_blocks,
     table_rows,
     table_to_csv,
 )
@@ -84,7 +83,7 @@ def write_counts(args: argparse.Namespace, rows: list[TableRow]) -> None:
         writer.writerow(["n", "count", "streamed", "product_sum"])
         for n in range(args.max_n + 1):
             started = time.perf_counter()
-            streamed = sum(1 for _ in iter_flows(n))
+            streamed = sum(block.count("\n") + 1 for block in iter_code_blocks(n))
             elapsed = time.perf_counter() - started
             count = count_flows(n)
             if not streamed == count == product_sums[n]:
@@ -107,7 +106,7 @@ def write_code_lists(args: argparse.Namespace) -> None:
     for n in range(args.list_max_n + 1):
         path = args.out / f"codes_n{n}.txt"
         with path.open("w") as handle:
-            handle.writelines(f"{text}\n" for text in iter_code_texts(n))
+            handle.writelines(f"{block}\n" for block in iter_code_blocks(n))
         print(f"wrote {path}")
 
 

@@ -29,10 +29,10 @@ So the walk holds O(n) positions and completions sized by n alone, never
 by the number of codes.  That one walk, :func:`_walk`, lists codes only
 and takes the factory that makes each token.  :func:`iter_flows` passes
 the interned :class:`~diskflows.codec.CodeToken` constructor and builds
-a :class:`~diskflows.codec.Code` per code.  :func:`iter_code_texts`, the
+a :class:`~diskflows.codec.Code` per code.  :func:`iter_code_blocks`, the
 listing path of ``diskflows enum``, passes a cached text per token and
-joins each completion list to text once per stream and separator, so it
-builds no code object and joins no tail token by token.
+yields one ``join`` of lines per shared start, so it builds no code
+object and no string per code; :func:`iter_code_texts` splits them.
 """
 
 from __future__ import annotations
@@ -154,7 +154,7 @@ def _walk(
     n: int, token: Callable[[int, bool, bool], object]
 ) -> Iterator[tuple[list, list, list[tuple]]]:
     """The one token walk behind :func:`iter_flows` and
-    :func:`iter_code_texts`; it lists codes only, never bare trees.
+    :func:`iter_code_blocks`; it lists codes only, never bare trees.
 
     Yields ``(values, head, folds)`` once per prefix before the token
     that places the last edge.  ``values`` holds the values of the
@@ -265,8 +265,8 @@ def iter_flows(n: int) -> Iterator[Code]:
     time, with state sized by n alone.
 
     Each code the token walk reaches is built as a :class:`Code` of
-    interned tokens.  :func:`iter_code_texts` runs the same walk and
-    yields the codes' texts instead.
+    interned tokens.  :func:`iter_code_blocks` runs the same walk and
+    yields the codes' texts instead, a block per shared start.
     """
     for _, head, folds in _walk(n, cached_token):
         for folded, segments in folds:
@@ -286,17 +286,14 @@ def _segment_texts(texts: dict, segment: list[tuple], sep: str) -> list[str]:
     return joined
 
 
-def iter_code_texts(n: int) -> Iterator[str]:
-    """The text of every code of :func:`iter_flows`, in the same order,
-    equal to :func:`~diskflows.codec.serialize_code` of each.
+def iter_code_blocks(n: int) -> Iterator[str]:
+    """The texts of :func:`iter_flows`' codes in order, one block of
+    lines per shared start, with no trailing newline.
 
-    No :class:`Code` is built: the walk's tokens are texts, each made
-    once per stream.  One loop serves every n.  Later values are 0 and no
-    value exceeds n, so the values of a prefix and of its folded token
-    decide whether its codes are compact or spaced.  Each completion list
-    is joined to text once per stream and separator, and each code is
-    the prefix's text, the folded token's and one joined completion per
-    segment, so no tail is joined token by token.
+    No :class:`Code` is built.  Each token's text is made once per stream,
+    each completion list joined once per stream and separator, which a
+    prefix's values decide; one ``join`` of the last segment's
+    completions, (n+1)(n+2)/2 at most, makes a start's block.
     """
     joined = {"": {}, " ": {}}  # per separator, by the completion list's id
     for values, head, folds in _walk(n, lru_cache(maxsize=None)(_token_text)):
@@ -305,16 +302,21 @@ def iter_code_texts(n: int) -> Iterator[str]:
         head = sep.join(head) + sep if head else ""
         for folded, segments in folds:
             base = head + folded + sep
-            *front, last = segments
-            last = texts.get(id(last)) or _segment_texts(texts, last, sep)
-            if front:
-                lists = [texts.get(id(s)) or _segment_texts(texts, s, sep) for s in front]
-                starts = (base + sep.join(combo) + sep for combo in product(*lists))
+            last = texts.get(id(segments[-1])) or _segment_texts(texts, segments[-1], sep)
+            if len(segments) > 1:
+                lists = [texts.get(id(s)) or _segment_texts(texts, s, sep)
+                         for s in segments[:-1]]
+                for combo in product(*lists):
+                    start = base + sep.join(combo) + sep
+                    yield start + ("\n" + start).join(last)
             else:
-                starts = (base,)
-            for start in starts:
-                for tail in last:
-                    yield start + tail
+                yield base + ("\n" + base).join(last)
+
+
+def iter_code_texts(n: int) -> Iterator[str]:
+    """The lines of :func:`iter_code_blocks`: each code's serialized text."""
+    for block in iter_code_blocks(n):
+        yield from block.split("\n")
 
 
 def enumerate_flows(n: int) -> list[Code]:

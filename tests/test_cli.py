@@ -327,11 +327,20 @@ def test_enum_count_only_bounds_the_digits(capsys):
     assert f"up to {COUNT_MAX_N}" in err
 
 
-def test_enum_streams_to_stdout_across_chunks(capsys):
+def test_enum_streams_to_stdout_across_chunks(capsys, monkeypatch):
+    # n = 5 has 1,249 blocks of code texts, more than one chunk.
+    writes = []
+
+    def recording(blocks):
+        writes.append(len(blocks))
+        return codes_to_text(blocks)
+
+    monkeypatch.setattr(cli, "codes_to_text", recording)
     rc, out, _ = run(capsys, "enum", "--n", "5")
     assert rc == 0
     assert out == codes_to_text(enumerate_flows(5))
-    assert len(out.splitlines()) == 4389 > ENUM_CHUNK
+    assert len(out.splitlines()) == 4389
+    assert writes == [ENUM_CHUNK, 1249 - ENUM_CHUNK]
 
 
 def test_enum_writes_file(tmp_path, capsys):
@@ -359,10 +368,10 @@ def test_enum_lists_up_to_nine_loops_unless_the_cap_is_raised(tmp_path, capsys, 
     assert out == ""
     assert err == "error: n=10 exceeds the cap 9; raise it with --cap\n"
     assert not target.exists()
-    # n = 10 lists 133,767,543 codes; the head of the stream shows that
-    # --cap 10 lets the listing start.
-    texts = cli.iter_code_texts
-    monkeypatch.setattr(cli, "iter_code_texts", lambda n: itertools.islice(texts(n), 3))
+    # n = 10 lists 133,767,543 codes; the first block of the stream, its
+    # first three codes, shows that --cap 10 lets the listing start.
+    blocks = cli.iter_code_blocks
+    monkeypatch.setattr(cli, "iter_code_blocks", lambda n: itertools.islice(blocks(n), 1))
     rc, out, _ = run(capsys, "enum", "--n", "10", "--cap", "10")
     assert rc == 0
     assert out.splitlines() == ["11111111110", "11111111110~", "11111111110~'"]

@@ -28,6 +28,7 @@ from diskflows.enumeration import (
     count_flows,
     enumerate_flows,
     flows_per_tree,
+    iter_code_blocks,
     iter_code_texts,
     iter_flows,
     plane_trees,
@@ -279,6 +280,31 @@ def test_iter_flows_starts_at_the_path_without_recursion():
 def test_codes_to_text_one_line_per_code():
     assert codes_to_text(enumerate_flows(1)) == "10\n10~\n10~'\n"
     assert codes_to_text(list(iter_code_texts(1))) == "10\n10~\n10~'\n"
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_code_blocks_join_to_the_enum_text(n):
+    assert "\n".join(iter_code_blocks(n)) + "\n" == codes_to_text(enumerate_flows(n))
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_code_blocks_hold_one_block_of_leaves_each(n):
+    # A block lists the completions of one block of at most n leaves
+    # from a cell's start node: (n+1)(n+2)/2 of them when all n are
+    # leaves under the last edge's token.
+    lines = [block.count("\n") + 1 for block in iter_code_blocks(n)]
+    assert sum(lines) == count_flows(n)
+    assert max(lines) == (n + 1) * (n + 2) // 2
+
+
+def test_draining_code_blocks_peaks_small():
+    tracemalloc.start()
+    try:
+        assert sum(1 for _ in iter_code_blocks(7)) == 73_378
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("n", range(8))
