@@ -200,7 +200,7 @@ def _cmd_oracle(args) -> int:
             f"oracle bound exceeded: n={args.n} > {args.bound}; raise it with --bound"
         )
     # Whatever the bound, no run tries more candidates than n = 7's, about
-    # 22 s on two vCPUs; n = 8 would try eleven times as many.
+    # 2 s on two vCPUs; n = 8 would try eleven times as many.
     tries, limit = candidate_count(args.n), candidate_count(7)
     if tries > limit:
         raise _UsageError(

@@ -3,15 +3,12 @@
 Everything here recomputes results from first principles: cell
 configurations by trying all 2**n colorings of the inner loops and
 typing every corner of the resulting boundary, and flow classes by
-decorating every plane tree, one sibling block at a time, with every
-coloring and at most one prime per block, keeping what the authoritative
-validator accepts.  Property 4 of a code rejects two primes in one
-block, so no other placement can be realizable or even admissible.
-The plane trees come from the composition generator that
-:func:`~diskflows.enumeration.plane_trees` uses, not from the token walk
-that lists the codes.  The only other shared ingredients are the
-decoration dataclasses and the validator itself; in particular nothing
-here calls the model's cell classifier or its fast per-cell enumerator.
+decorating every plane tree with every coloring and at most one prime
+per sibling block, each block decided from the corners of its cell.
+The plane trees come from the generator behind
+:func:`~diskflows.enumeration.plane_trees`, not from the token walk.
+Nothing here calls the validator, the model's cell classifier or its
+cell automaton; only the code and decoration dataclasses are shared.
 """
 
 from __future__ import annotations
@@ -19,8 +16,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import getitem
 
-from .codec import Code, cached_token, check_realizable, serialize_code
+from .codec import Code, cached_token, serialize_code
+from .codec import check_realizable  # not called here; kept for the tracer in bench/layers.py
 from .enumeration import _nested_trees, _nested_up_degrees, count_flows
 from .model import CellDecoration, CyclicCell, PolarCell
 
@@ -49,6 +49,16 @@ def _corners(sides) -> list[str]:
     return out
 
 
+def _cell_kind(sides) -> tuple[str, list[str]]:
+    """The kind of a cell with side directions ``sides``, and its corners:
+    "coherent" if every corner is hyperbolic, else "polar" with one
+    source corner and "invalid" with more."""
+    corners = _corners(sides)
+    if all(c == "hyperbolic" for c in corners):
+        return "coherent", corners
+    return ("polar" if corners.count("source") == 1 else "invalid"), corners
+
+
 def oracle_cell_configs(n: int, lower_direction: int) -> list[CellDecoration]:
     """All configurations of one cell, found by exhausting colorings.
 
@@ -61,45 +71,69 @@ def oracle_cell_configs(n: int, lower_direction: int) -> list[CellDecoration]:
         raise ValueError("lower direction must be +1 or -1")
     out: list[CellDecoration] = []
     for colors in itertools.product((1, -1), repeat=n):
-        corners = _corners((lower_direction,) + tuple(-c for c in colors))
-        # Every corner passed through: the boundary is one coherent cycle.
-        if all(c == "hyperbolic" for c in corners):
+        kind, corners = _cell_kind((lower_direction,) + tuple(-c for c in colors))
+        if kind == "coherent":
             for entry in range(n + 1):
                 primes = tuple(i == entry - 1 for i in range(n))
                 out.append(CellDecoration(CyclicCell(entry), colors, primes))
-            continue
-        sources = [i for i, c in enumerate(corners) if c == "source"]
-        if len(sources) != 1:
-            continue
-        sink = corners.index("sink")
-        out.append(
-            CellDecoration(PolarCell(sources[0], sink), colors, (False,) * n)
-        )
+        elif kind == "polar":
+            cell = PolarCell(corners.index("source"), corners.index("sink"))
+            out.append(CellDecoration(cell, colors, (False,) * n))
     out.sort(key=lambda dec: (dec.child_colors, dec.child_primes))
     return out
 
 
-def _block_decorations(values: tuple[int, ...]):
-    """For each sibling block in level order, every decoration of its d
-    children as token tuples: each child plain or overlined, with no
-    prime or exactly one primed child, 2**d * (d + 1) tuples."""
-    nxt = 1
-    for d in values:
-        if d:
-            # tokens[c][p]: child c's tokens, plain and overlined, primed if p.
-            tokens = [
-                [(cached_token(k, False, p), cached_token(k, True, p))
-                 for p in (False, True)]
-                for k in values[nxt:nxt + d]
-            ]
-            nxt += d
-            yield [
-                tail
-                for primed in range(-1, d)  # -1: no child primed
-                for tail in itertools.product(
-                    *(t[c == primed] for c, t in enumerate(tokens))
-                )
-            ]
+# A block's verdict, and a candidate's, which is the worst of its blocks'.
+_OK, _UNREALIZABLE, _INADMISSIBLE = range(3)
+# A block's verdict by its cell's kind and whether it has a primed child.
+# Property 4 lets a prime sit only in a coherent cell.
+_BLOCK_RULE = {
+    ("coherent", False): _OK, ("coherent", True): _OK,
+    ("polar", False): _OK, ("polar", True): _INADMISSIBLE,
+    ("invalid", False): _UNREALIZABLE, ("invalid", True): _INADMISSIBLE,
+}
+
+
+@lru_cache(maxsize=None)  # one entry per block size, at most n
+def _block_verdicts(d: int) -> tuple[tuple[int, ...], ...]:
+    """Verdicts of the decorations of a block of d children, in the order
+    :func:`_candidates` lists them, under an unoverlined parent (or the
+    root) and under an overlined one: the cell's sides are that parent's
+    +1 or -1, then +1 for each overlined child and -1 for each plain one."""
+    return tuple(
+        tuple(_BLOCK_RULE[_cell_kind((parent,) + kids)[0], primed >= 0]
+              for primed in range(-1, d) for kids in itertools.product((-1, 1), repeat=d))
+        for parent in (1, -1))
+
+
+def _candidates(values: tuple[int, ...]):
+    """``(blocks, verdicts)`` for the plane tree with level-order
+    up-degrees ``values``.  ``blocks[0]`` holds the root's token; every
+    later block, the decorations of one sibling block as token tuples.
+    ``verdicts`` yields ``(verdict, picks)`` per candidate in
+    ``itertools.product`` order, one pick per block; the verdict is the
+    worst of its blocks', each read under its parent's overline."""
+    blocks = [[(cached_token(values[0], False, False),)]]
+    worst = [_OK]  # the worst verdict of each pick tuple of the blocks so far
+    owner = [(0, 0)]  # owner[w]: the block that holds vertex w, and its position there
+    for v, d in enumerate(values):
+        if not d:
+            continue
+        # tokens[c][p]: child c's tokens, plain and overlined, primed if p.
+        tokens = [
+            [(cached_token(k, False, p), cached_token(k, True, p)) for p in (False, True)]
+            for k in values[len(owner):len(owner) + d]
+        ]
+        b, pos = owner[v]
+        verdicts = _block_verdicts(d)
+        rows = [verdicts[dec[pos].overline] for dec in blocks[b]]
+        prefixes = itertools.product(*map(range, map(len, blocks)))
+        worst = [w if w > r else r for w, picks in zip(worst, prefixes) for r in rows[picks[b]]]
+        owner += [(len(blocks), pos) for pos in range(d)]
+        # Every coloring with no primed child (-1) or child `primed` primed.
+        blocks.append([tail for primed in range(-1, d) for tail in itertools.product(
+            *(t[c == primed] for c, t in enumerate(tokens)))])
+    return blocks, zip(worst, itertools.product(*map(range, map(len, blocks))))
 
 
 @dataclass(frozen=True)
@@ -138,28 +172,22 @@ class DiscrepancyReport:
 
 
 def candidate_count(n: int) -> int:
-    """Codes :func:`oracle_enumerate` sends through the validator at n:
+    """Candidates :func:`oracle_enumerate` decides at n:
     2**n * C(3n+1, n)/(n+1), read off no tree."""
     return 2**n * math.comb(3 * n + 1, n) // (n + 1)
 
 
 def oracle_enumerate(n: int, *, bound: int = DEFAULT_BOUND) -> tuple[set[Code], DiscrepancyReport]:
-    """Realizable codes with n separatrices, found by filtering decorations
-    of every tree through the validator.
+    """Realizable codes with n separatrices, found by deciding every
+    decoration of every tree from the corners of its cells.
 
-    Each tree is tried as one product of its sibling blocks'
-    decorations; a block of d children has 2**d * (d + 1), every
-    coloring with no prime or one primed child.  That makes
-    2**n * prod(d_v + 1) candidates for a tree with up-degrees d_v, and
-    :func:`candidate_count` over all trees (23,296 at n = 5, 248,064 at
-    n = 6), each sent through :func:`check_realizable`; the witnesses
-    are sorted, so the order of trial does not show.  The first clause
-    of property 4 rejects every other prime placement, so leaving them
-    out changes neither the realizable set nor the admissible ones.  The
-    count still grows exponentially, hence the bound: on two vCPUs with
-    Python 3.11, n = 6 takes about 2 s and n = 7 (2,728,704 candidates)
-    about 22 s.  Also tallies the codes that pass the four necessary
-    properties yet fail realizability, returning them as witnesses.
+    The :func:`candidate_count` candidates (see :func:`_candidates`) have
+    at most one prime per block: the first clause of property 4 rejects
+    every other placement.  Codes are built only for the admissible
+    candidates; the witnesses, admissible but unrealizable, are sorted.
+    The count grows exponentially, hence the bound: on two vCPUs with
+    Python 3.11, n = 6 takes about 0.15 s and n = 7 (2,728,704
+    candidates) about 1.7 s.
     """
     if n < 0:
         raise ValueError("separatrix count is non-negative")
@@ -170,14 +198,13 @@ def oracle_enumerate(n: int, *, bound: int = DEFAULT_BOUND) -> tuple[set[Code], 
     admissible_total = 0
     for nested in _nested_trees(n):
         values = _nested_up_degrees(nested)
-        root = (cached_token(values[0], False, False),)
-        for picks in itertools.product(*_block_decorations(values)):
-            code = Code(sum(picks, root))  # the root, then each block's pick
-            report = check_realizable(code)
-            if not report.admissible.passed:
+        blocks, candidates = _candidates(values)
+        for verdict, picks in candidates:
+            if verdict == _INADMISSIBLE:
                 continue
             admissible_total += 1
-            if report.realizable:
+            code = Code(sum(map(getitem, blocks, picks), ()))
+            if verdict == _OK:
                 realizable.add(code)
             else:
                 witnesses.append(code)

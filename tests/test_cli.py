@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diskflows import cli
+from diskflows import cli, codec, model, oracle
 from diskflows.cli import (
     COUNT_MAX_N,
     ENUM_CHUNK,
@@ -508,6 +508,27 @@ def test_oracle_report_bytes_at_five_loops_are_pinned(tmp_path, capsys):
     rc, out, _ = run(capsys, "oracle", "--n", "5", "--json", str(target))
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == ORACLE_N5_TEXT_SHA256
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == ORACLE_N5_JSON_SHA256
+
+
+def test_oracle_report_at_five_loops_needs_no_validation_rule(tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the oracle called a validation rule")
+
+    for module, name in (
+        (codec, "check_realizable"),
+        (oracle, "check_realizable"),
+        (codec, "_scan"),
+        (model, "source_corners"),
+    ):
+        monkeypatch.setattr(module, name, refuse)
+    oracle._block_verdicts.cache_clear()  # decide every block afresh
+    codes, report = oracle.oracle_enumerate(5)
+    assert len(codes) == 4389
+    assert len(report.witnesses) == 211
+    target = tmp_path / "report.json"
+    rc, _, _ = run(capsys, "oracle", "--n", "5", "--json", str(target))
+    assert rc == 0
     assert hashlib.sha256(target.read_bytes()).hexdigest() == ORACLE_N5_JSON_SHA256
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
+from operator import getitem
 
 import pytest
 
@@ -133,23 +134,24 @@ def test_one_prime_per_block_drops_nothing(n):
     assert list(report.witnesses) == witnesses
 
 
-@pytest.mark.parametrize("n", range(6))
-def test_every_candidate_goes_through_the_validator(n, monkeypatch):
-    calls = []
-
-    def counting(code):
-        calls.append(code)
-        return check_realizable(code)
-
-    monkeypatch.setattr(oracle, "check_realizable", counting)
-    oracle_enumerate(n)
-    assert len(calls) == 2**n * math.comb(3 * n + 1, n) // (n + 1)
-    assert len(set(calls)) == len(calls)
+@pytest.mark.parametrize("n", range(7))
+def test_every_candidate_is_decided_as_the_validator_decides(n):
+    decided = 0
+    for nested in _nested_trees(n):
+        blocks, candidates = oracle._candidates(_nested_up_degrees(nested))
+        # Distinct decorations per block, so no code is a candidate twice.
+        assert all(len(set(block)) == len(block) for block in blocks)
+        for verdict, picks in candidates:
+            decided += 1
+            report = check_realizable(Code(sum(map(getitem, blocks, picks), ())))
+            assert (verdict != oracle._INADMISSIBLE) == report.admissible.passed
+            assert (verdict == oracle._OK) == report.realizable
+    assert decided == candidate_count(n)
 
 
 def test_candidate_count_follows_the_validator_calls():
-    # The formula the test above checks against every call, up to n = 7,
-    # whose count caps `diskflows oracle`.
+    # The formula the test above checks against the candidates decided, up
+    # to n = 7, whose count caps `diskflows oracle`.
     assert [candidate_count(n) for n in range(8)] == [
         2**n * math.comb(3 * n + 1, n) // (n + 1) for n in range(8)
     ]
