@@ -26,7 +26,7 @@ from diskflows.enumeration import (
     table_rows,
     table_to_csv,
 )
-from diskflows.oracle import DEFAULT_BOUND, candidate_count, oracle_enumerate
+from diskflows.oracle import DEFAULT_BOUND, candidate_count, oracle_report
 
 
 def parse_args(argv: list[str]) -> argparse.Namespace:
@@ -112,7 +112,7 @@ def write_code_lists(args: argparse.Namespace) -> None:
 
 def write_oracle_reports(args: argparse.Namespace) -> None:
     for n in range(args.oracle_max_n + 1):
-        codes, report = oracle_enumerate(n, bound=args.oracle_max_n)
+        report = oracle_report(n, bound=args.oracle_max_n)
         path = args.out / f"oracle_n{n}.json"
         path.write_text(json.dumps(report.to_json_dict(), indent=2) + "\n")
         status = "agrees" if report.agrees else "DISAGREES"

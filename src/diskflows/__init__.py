@@ -24,7 +24,7 @@ from .codec import (
     serialize_code,
 )
 from .enumeration import count_flows, enumerate_flows, iter_flows, table_rows
-from .oracle import oracle_enumerate
+from .oracle import oracle_enumerate, oracle_report
 from .render import diagram_to_svg, tree_to_dot
 
 __version__ = "0.1.0"
@@ -43,6 +43,7 @@ __all__ = [
     "graph_to_json",
     "iter_flows",
     "oracle_enumerate",
+    "oracle_report",
     "parse_code",
     "serialize_code",
     "table_rows",

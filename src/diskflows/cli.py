@@ -34,7 +34,8 @@ from .enumeration import (
     table_rows,
     table_to_csv,
 )
-from .oracle import DEFAULT_BOUND, candidate_count, oracle_enumerate
+from .oracle import DEFAULT_BOUND, candidate_count, oracle_report
+from .oracle import oracle_enumerate  # not called here; kept for the tracer in bench/layers.py
 from .render import diagram_to_svg, tree_to_dot
 
 EXIT_OK = 0
@@ -200,7 +201,7 @@ def _cmd_oracle(args) -> int:
             f"oracle bound exceeded: n={args.n} > {args.bound}; raise it with --bound"
         )
     # Whatever the bound, no run tries more candidates than n = 7's, about
-    # 2 s on two vCPUs; n = 8 would try eleven times as many.
+    # 0.6 s on two vCPUs; n = 8 would try eleven times as many.
     tries, limit = candidate_count(args.n), candidate_count(7)
     if tries > limit:
         raise _UsageError(
@@ -209,7 +210,7 @@ def _cmd_oracle(args) -> int:
     # The JSON target opens before the run, so a bad path fails at once.
     fh = None if args.json is None else open(args.json, "w", encoding="utf-8")
     with fh or contextlib.nullcontext():
-        _, report = oracle_enumerate(args.n, bound=args.bound)
+        report = oracle_report(args.n, bound=args.bound)
         sys.stdout.write(report.to_text())
         if fh is not None:
             json.dump(report.to_json_dict(), fh, indent=2)

@@ -526,6 +526,8 @@ def test_oracle_report_at_five_loops_needs_no_validation_rule(tmp_path, capsys, 
     codes, report = oracle.oracle_enumerate(5)
     assert len(codes) == 4389
     assert len(report.witnesses) == 211
+    oracle._block_verdicts.cache_clear()
+    assert oracle.oracle_report(5) == report
     target = tmp_path / "report.json"
     rc, _, _ = run(capsys, "oracle", "--n", "5", "--json", str(target))
     assert rc == 0

@@ -5,7 +5,6 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from operator import getitem
 
 import pytest
 
@@ -18,7 +17,13 @@ from diskflows.enumeration import (
     iter_flows,
 )
 from diskflows.model import cell_config_count, enumerate_cell_configs
-from diskflows.oracle import DEFAULT_BOUND, candidate_count, oracle_cell_configs, oracle_enumerate
+from diskflows.oracle import (
+    DEFAULT_BOUND,
+    candidate_count,
+    oracle_cell_configs,
+    oracle_enumerate,
+    oracle_report,
+)
 
 
 @pytest.mark.parametrize("lower", [1, -1])
@@ -99,6 +104,33 @@ def test_oracle_refuses_large_inputs():
         oracle_enumerate(6)
     with pytest.raises(ValueError):
         oracle_enumerate(3, bound=2)
+    for n, bound in ((6, DEFAULT_BOUND), (3, 2), (-1, DEFAULT_BOUND)):
+        with pytest.raises(ValueError):
+            oracle_report(n, bound=bound)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_report_is_the_report_of_the_enumeration(n):
+    codes, enumerated = oracle_enumerate(n, bound=6)
+    report = oracle_report(n, bound=6)
+    for field in ("n", "fast_count", "oracle_count", "admissible_only_count", "witnesses"):
+        assert getattr(report, field) == getattr(enumerated, field), field
+    assert report.oracle_count == len(codes)
+
+
+def test_report_builds_a_code_for_each_witness_only(monkeypatch):
+    built = []
+
+    class CountingCode(Code):
+        def __post_init__(self):
+            built.append(self)
+            super().__post_init__()
+
+    monkeypatch.setattr(oracle, "Code", CountingCode)
+    report = oracle_report(5)
+    assert len(built) == 211
+    assert report.witnesses == tuple(sorted(built))
+    assert report.oracle_count == 4389
 
 
 def full_brute_force(n):
@@ -138,12 +170,12 @@ def test_one_prime_per_block_drops_nothing(n):
 def test_every_candidate_is_decided_as_the_validator_decides(n):
     decided = 0
     for nested in _nested_trees(n):
-        blocks, candidates = oracle._candidates(_nested_up_degrees(nested))
+        blocks, worst = oracle._candidates(_nested_up_degrees(nested))
         # Distinct decorations per block, so no code is a candidate twice.
         assert all(len(set(block)) == len(block) for block in blocks)
-        for verdict, picks in candidates:
+        for verdict, pick in zip(worst, itertools.product(*blocks), strict=True):
             decided += 1
-            report = check_realizable(Code(sum(map(getitem, blocks, picks), ())))
+            report = check_realizable(Code(sum(pick, ())))
             assert (verdict != oracle._INADMISSIBLE) == report.admissible.passed
             assert (verdict == oracle._OK) == report.realizable
     assert decided == candidate_count(n)
