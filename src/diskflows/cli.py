@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import itertools
 import json
+import os
 import sys
 
 from .codec import (
@@ -55,8 +56,9 @@ ENUM_CAP = 9
 #: Python's default limit of 4300 digits for converting an int to text.
 COUNT_MAX_N = 4000
 
-#: Blocks of code texts written per step of ``enum``: 3,918 lines at most to n = 9.
-ENUM_CHUNK = 1024
+#: Blocks of code texts written per step of ``enum``, one block per walk
+#: prefix: up to n = 9, at most 2,583 lines and 48 KB of text per step.
+ENUM_CHUNK = 64
 
 
 class _UsageError(Exception):
@@ -268,9 +270,17 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return status
     except _UsageError as exc:
         return _fail(str(exc))
+    except BrokenPipeError:
+        # The reader closed the output early, as ``enum --n 8 | head``
+        # does: end quietly.  Standard output now writes to devnull, so
+        # the flush at exit cannot fail on the closed pipe again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
     except OSError as exc:
         return _fail(str(exc))
 

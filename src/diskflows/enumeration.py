@@ -31,8 +31,13 @@ and takes the factory that makes each token.  :func:`iter_flows` passes
 the interned :class:`~diskflows.codec.CodeToken` constructor and builds
 a :class:`~diskflows.codec.Code` per code.  :func:`iter_code_blocks`, the
 listing path of ``diskflows enum``, passes a cached text per token and
-yields one ``join`` of lines per shared start, so it builds no code
-object and no string per code; :func:`iter_code_texts` splits them.
+yields one block of lines per walk prefix, so it builds no code object
+and no string per code; :func:`iter_code_texts` splits them.  The codes
+after a prefix depend only on its fold state, 263 of them at n = 7, so
+each state's lines are made once as a suffix text that every prefix
+sharing the state reuses, the generator's way of making each suffix once
+(Ruskey).  Those texts are kept for the stream, so its memory is sized
+by the fold states: not O(n), but never by the number of codes.
 """
 
 from __future__ import annotations
@@ -187,9 +192,11 @@ def _walk(
     segment's decorations are its :func:`~diskflows.model._completions`,
     which only ``segment`` asks for and keeps, by (node, length): at most
     6(n+1) lists per stream.  The automaton's nodes live for good, so
-    their ids stay put.  The folds of a position depend only on its node,
-    the rest of its block and its value, and are kept by those three:
-    O(n^2) short lists of references.
+    their ids stay put.  The folds of a prefix depend only on its last
+    position's node, the rest of its block and its value, and on the
+    segments the later parents' blocks share, so they are kept by those:
+    one list per fold state, whose identity names the state.  There are
+    263 states at n = 7, 541 at n = 8 and 1,088 at n = 9.
     """
     if n < 0:
         raise ValueError("separatrix count is non-negative")
@@ -201,7 +208,7 @@ def _walk(
     automaton = CELL_AUTOMATON  # a local name, read at every block start
     tokens = [None] * (n + 1)
     memo: dict = {}  # the completions of a segment, by (id(node), length)
-    made: dict = {}  # the folds of a position, by (node, rest, value)
+    made: dict = {}  # the folds of a state, by (node, rest, value, *shared)
 
     def segment(node, length):
         key = id(node), length  # a list is never empty, so never falsy
@@ -232,20 +239,19 @@ def _walk(
         value = values[i]
         p = parents[i]
         rest = placed[p + 1] - i if i else 0
-        key = id(nodes[i]), rest, value
-        folds = made.get(key)
-        if folds is None:
-            folds = made[key] = [
-                (token(value, overline, prime),
-                 ([segment(nxt, rest)] if rest else []) + [segment(automaton[color], value)])
-                for overline, prime, color, nxt in nodes[i]
-            ]
         shared = [
             segment(automaton[nodes[q][picks[q]][2]], values[q])
             for q in range(p + 1, i) if values[q]
         ]
-        if shared:
-            folds = [(folded, [*segs[:-1], *shared, segs[-1]]) for folded, segs in folds]
+        key = id(nodes[i]), rest, value, *map(id, shared)
+        folds = made.get(key)
+        if folds is None:
+            folds = made[key] = [
+                (token(value, overline, prime),
+                 [*([segment(nxt, rest)] if rest else []), *shared,
+                  segment(automaton[color], value)])
+                for overline, prime, color, nxt in nodes[i]
+            ]
         yield values[:i + 1], tokens[:i], folds
         if not i:
             return
@@ -266,7 +272,7 @@ def iter_flows(n: int) -> Iterator[Code]:
 
     Each code the token walk reaches is built as a :class:`Code` of
     interned tokens.  :func:`iter_code_blocks` runs the same walk and
-    yields the codes' texts instead, a block per shared start.
+    yields the codes' texts instead, a block per walk prefix.
     """
     for _, head, folds in _walk(n, cached_token):
         for folded, segments in folds:
@@ -286,31 +292,50 @@ def _segment_texts(texts: dict, segment: list[tuple], sep: str) -> list[str]:
     return joined
 
 
+def _suffix_text(texts: dict, folds: list[tuple], sep: str) -> str:
+    """The lines of every code under one fold state with the head left
+    out, joined by newlines: each folded token with one joined completion
+    per segment, in :func:`iter_flows`' order."""
+    lines = []
+    for folded, segments in folds:
+        *lists, last = [texts.get(id(s)) or _segment_texts(texts, s, sep) for s in segments]
+        for combo in product(*lists):
+            start = sep.join((folded, *combo, ""))
+            lines.append(start + ("\n" + start).join(last))
+    return "\n".join(lines)
+
+
 def iter_code_blocks(n: int) -> Iterator[str]:
     """The texts of :func:`iter_flows`' codes in order, one block of
-    lines per shared start, with no trailing newline.
+    lines per walk prefix, with no trailing newline.
 
     No :class:`Code` is built.  Each token's text is made once per stream,
     each completion list joined once per stream and separator, which a
-    prefix's values decide; one ``join`` of the last segment's
-    completions, (n+1)(n+2)/2 at most, makes a start's block.
+    prefix's values decide.  The codes after a prefix depend only on its
+    fold state, which the identity of the walk's ``folds`` names, so each
+    state's lines are made once per stream and separator as one suffix
+    text; a prefix's block is that text with the prefix's head in front
+    of every line.  The kept texts are sized by the fold states, not by
+    the codes: 263 states and 134 KB of text at n = 7, 0.5 MB at n = 8
+    and 1.8 MB at n = 9, about 3.7 times more per n while the codes grow
+    about 8 times.
     """
     joined = {"": {}, " ": {}}  # per separator, by the completion list's id
+    # Per separator, by the id of ``folds``: the list, kept so that its id
+    # is never reused for another state, and its suffix text.
+    suffixes = {"": {}, " ": {}}
     for values, head, folds in _walk(n, lru_cache(maxsize=None)(_token_text)):
         sep = "" if n <= 9 or max(values) <= 9 else " "
-        texts = joined[sep]
-        head = sep.join(head) + sep if head else ""
-        for folded, segments in folds:
-            base = head + folded + sep
-            last = texts.get(id(segments[-1])) or _segment_texts(texts, segments[-1], sep)
-            if len(segments) > 1:
-                lists = [texts.get(id(s)) or _segment_texts(texts, s, sep)
-                         for s in segments[:-1]]
-                for combo in product(*lists):
-                    start = base + sep.join(combo) + sep
-                    yield start + ("\n" + start).join(last)
-            else:
-                yield base + ("\n" + base).join(last)
+        memo = suffixes[sep]
+        kept = memo.get(id(folds))
+        if kept is None:
+            kept = memo[id(folds)] = folds, _suffix_text(joined[sep], folds, sep)
+        text = kept[1]
+        if head:
+            head = sep.join(head) + sep
+            yield head + text.replace("\n", "\n" + head)
+        else:
+            yield text
 
 
 def iter_code_texts(n: int) -> Iterator[str]:

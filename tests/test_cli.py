@@ -8,6 +8,7 @@ import io
 import itertools
 import json
 import math
+import os
 import random
 import resource
 import subprocess
@@ -328,7 +329,8 @@ def test_enum_count_only_bounds_the_digits(capsys):
 
 
 def test_enum_streams_to_stdout_across_chunks(capsys, monkeypatch):
-    # n = 5 has 1,249 blocks of code texts, more than one chunk.
+    # n = 5 has 369 blocks of code texts, one per walk prefix: several
+    # full chunks and a partial last one.
     writes = []
 
     def recording(blocks):
@@ -340,7 +342,9 @@ def test_enum_streams_to_stdout_across_chunks(capsys, monkeypatch):
     assert rc == 0
     assert out == codes_to_text(enumerate_flows(5))
     assert len(out.splitlines()) == 4389
-    assert writes == [ENUM_CHUNK, 1249 - ENUM_CHUNK]
+    full, last = divmod(369, ENUM_CHUNK)
+    assert full > 1 and last
+    assert writes == [ENUM_CHUNK] * full + [last]
 
 
 def test_enum_writes_file(tmp_path, capsys):
@@ -368,13 +372,58 @@ def test_enum_lists_up_to_nine_loops_unless_the_cap_is_raised(tmp_path, capsys, 
     assert out == ""
     assert err == "error: n=10 exceeds the cap 9; raise it with --cap\n"
     assert not target.exists()
-    # n = 10 lists 133,767,543 codes; the first block of the stream, its
-    # first three codes, shows that --cap 10 lets the listing start.
+    # n = 10 lists 133,767,543 codes; the first block of the stream, the
+    # nine codes of its first prefix, shows that --cap 10 lets the listing
+    # start.
     blocks = cli.iter_code_blocks
     monkeypatch.setattr(cli, "iter_code_blocks", lambda n: itertools.islice(blocks(n), 1))
     rc, out, _ = run(capsys, "enum", "--n", "10", "--cap", "10")
     assert rc == 0
-    assert out.splitlines() == ["11111111110", "11111111110~", "11111111110~'"]
+    assert out.splitlines() == [
+        "11111111110", "11111111110~", "11111111110~'",
+        "1111111111~0", "1111111111~0'", "1111111111~0~",
+        "1111111111~'0", "1111111111~'0'", "1111111111~'0~",
+    ]
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+def test_enum_ends_quietly_when_the_reader_leaves(buffered):
+    # The reader takes two of the 2,017,356 lines of n = 8 and closes
+    # the pipe, as ``enum --n 8 | head -2`` does.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "diskflows.cli", "enum", "--n", "8"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    lines = [proc.stdout.readline() for _ in range(2)]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_USAGE
+    assert lines == [b"111111110\n", b"111111110~\n"]
+    assert err == b""
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+def test_output_to_a_closed_pipe_fails_quietly(buffered):
+    # The reader is gone before ``validate`` prints its short report,
+    # which a buffered stdout writes only when it is flushed.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "diskflows.cli", "validate", "2100~"],
+            stdout=write, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stderr == b""
 
 
 def test_enum_rejects_negative(capsys):

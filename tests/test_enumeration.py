@@ -6,7 +6,7 @@ import hashlib
 import math
 import tracemalloc
 from collections import deque
-from itertools import islice, product
+from itertools import groupby, islice, product
 
 import pytest
 
@@ -287,24 +287,101 @@ def test_code_blocks_join_to_the_enum_text(n):
     assert "\n".join(iter_code_blocks(n)) + "\n" == codes_to_text(enumerate_flows(n))
 
 
+def _last_edge_prefix(code: Code) -> tuple:
+    """The tokens before the one that places the last edge, the last
+    token with a nonzero value."""
+    last = max((i for i, t in enumerate(code.tokens) if t.value), default=0)
+    return code.tokens[:last]
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_code_blocks_are_the_codes_of_one_walk_prefix_each(n):
+    groups = groupby(iter_flows(n), key=_last_edge_prefix)
+    assert list(iter_code_blocks(n)) == [
+        "\n".join(map(serialize_code, codes)) for _, codes in groups
+    ]
+
+
 @pytest.mark.parametrize("n", range(9))
 def test_code_blocks_hold_one_block_of_leaves_each(n):
-    # A block lists the completions of one block of at most n leaves
-    # from a cell's start node: (n+1)(n+2)/2 of them when all n are
-    # leaves under the last edge's token.
+    # One block per prefix the walk yields: every decoration of the
+    # last-edge token with the completions of its leaves.  The largest
+    # block, pinned, has 216 lines at n = 7 and 360 at n = 8.
+    largest = (1, 3, 9, 18, 36, 60, 108, 216, 360)[n]
     lines = [block.count("\n") + 1 for block in iter_code_blocks(n)]
+    assert len(lines) == sum(1 for _ in enumeration._walk(n, CodeToken))
     assert sum(lines) == count_flows(n)
-    assert max(lines) == (n + 1) * (n + 2) // 2
+    assert max(lines) == largest
 
 
 def test_draining_code_blocks_peaks_small():
     tracemalloc.start()
     try:
-        assert sum(1 for _ in iter_code_blocks(7)) == 73_378
+        assert sum(1 for _ in iter_code_blocks(7)) == 19_460
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_each_fold_state_is_written_once_per_stream(monkeypatch):
+    built = []
+    suffix_text = enumeration._suffix_text
+
+    def recording(texts, folds, sep):
+        built.append((id(folds), sep))
+        return suffix_text(texts, folds, sep)
+
+    monkeypatch.setattr(enumeration, "_suffix_text", recording)
+    for n, states in ((7, 263), (8, 541)):
+        built.clear()
+        assert sum(block.count("\n") + 1 for block in iter_code_blocks(n)) == count_flows(n)
+        assert len(built) == len(set(built)) == states
+
+
+def test_draining_code_blocks_of_eight_loops_peaks_small():
+    # The suffix texts kept at n = 8 hold about 0.5 MB; the stream's text
+    # is 21 MB.
+    tracemalloc.start()
+    try:
+        assert sum(1 for _ in iter_code_blocks(8)) == 149_496
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+def _one_prefix_walk(codes, folds=None):
+    """A stand-in for the walk that yields each code as one prefix: the
+    values up to the token that places the last edge, the tokens before
+    it, and that token with the rest of the code as its one segment.
+    The fold list is ``folds`` when given, else a fresh list per code."""
+    def walk(n, token):
+        for code in codes:
+            made = [token(t.value, t.overline, t.prime) for t in code.tokens]
+            values = [t.value for t in code.tokens]
+            last = max((i for i, value in enumerate(values) if value), default=0)
+            yield (values[:last + 1], made[:last],
+                   folds or [(made[last], [[tuple(made[last + 1:])]])])
+    return walk
+
+
+def test_suffix_texts_are_kept_per_separator(monkeypatch):
+    # One fold list, the token 1 and ten leaves, after a compact head and
+    # after a spaced one: the same state gives both texts.
+    compact, spaced = "29" + "1" + "0" * 10, "10 1 1" + " 0" * 10
+    folds = [("1", [[("0",) * 10]])]
+    codes = [parse_code(text) for text in (compact, spaced, compact)]
+    monkeypatch.setattr(enumeration, "_walk", _one_prefix_walk(codes, folds))
+    assert list(iter_code_texts(12)) == [compact, spaced, compact]
+
+
+def test_suffix_texts_of_fresh_fold_lists_stay_apart(monkeypatch):
+    # A fresh fold list per prefix, each dropped by the walk once yielded:
+    # a list freed while its text is kept could leave its id to the next.
+    codes = list(iter_flows(5))
+    monkeypatch.setattr(enumeration, "_walk", _one_prefix_walk(codes))
+    assert list(iter_code_texts(5)) == [serialize_code(c) for c in codes]
 
 
 @pytest.mark.parametrize("n", range(8))
@@ -328,23 +405,12 @@ def test_code_texts_take_the_spaced_form_from_ten_loops_on(monkeypatch):
     assert texts[0] == "1" * 10 + "0"
 
     codes = [parse_code(spaced[1]), parse_code("1" * 10 + "0")]
-
-    def walk(n, token):
-        # One prefix per code, in the walk's shape: the values up to the
-        # token that places the last edge, the tokens before it, and that
-        # token with the rest of the code as its one segment.
-        for code in codes:
-            made = [token(t.value, t.overline, t.prime) for t in code.tokens]
-            values = [t.value for t in code.tokens]
-            last = max(i for i, value in enumerate(values) if value)
-            yield values[:last + 1], made[:last], [(made[last], [[tuple(made[last + 1:])]])]
-
-    monkeypatch.setattr(enumeration, "_walk", walk)
+    monkeypatch.setattr(enumeration, "_walk", _one_prefix_walk(codes))
     texts = list(iter_code_texts(10))
     assert texts == [serialize_code(c) for c in codes] == [spaced[1], "1" * 10 + "0"]
     # The folded token alone has a value of 10 or more: the root of
     # "10 0 0 0 0 0 0 0 0 0 0", after an empty head.
-    codes = [parse_code(spaced[0])]
+    monkeypatch.setattr(enumeration, "_walk", _one_prefix_walk([parse_code(spaced[0])]))
     assert list(iter_code_texts(10)) == [spaced[0]]
 
 
