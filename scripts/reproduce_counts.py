@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -131,11 +132,19 @@ def write_oracle_reports(args: argparse.Namespace) -> None:
 def main(argv: list[str]) -> int:
     args = parse_args(argv)
     args.out.mkdir(parents=True, exist_ok=True)
-    rows = table_rows(args.max_n)  # built once, for both CSV files
-    write_counts(args, rows)
-    write_class_table(args, rows)
-    write_code_lists(args)
-    write_oracle_reports(args)
+    try:
+        rows = table_rows(args.max_n)  # built once, for both CSV files
+        write_counts(args, rows)
+        write_class_table(args, rows)
+        write_code_lists(args)
+        write_oracle_reports(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+    except BrokenPipeError:
+        # The reader closed the output early: end quietly with status 1,
+        # as ``diskflows`` does.  Standard output now writes to devnull,
+        # so the flush at exit cannot fail on the closed pipe again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

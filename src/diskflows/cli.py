@@ -56,9 +56,10 @@ ENUM_CAP = 9
 #: Python's default limit of 4300 digits for converting an int to text.
 COUNT_MAX_N = 4000
 
-#: Blocks of code texts written per step of ``enum``, one block per walk
-#: prefix: up to n = 9, at most 2,583 lines and 48 KB of text per step.
-ENUM_CHUNK = 64
+#: Blocks of code texts written per step of ``enum``, one block per
+#: folded walk state of at most 512 codes: up to n = 9, at most 2,367
+#: lines and 44 KB of text per step.
+ENUM_CHUNK = 8
 
 
 class _UsageError(Exception):

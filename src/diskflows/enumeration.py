@@ -19,25 +19,20 @@ trees, so codes over different trees interleave as sorting demands.  The
 walk is a lexicographic generator without dead ends (Ruskey,
 *Combinatorial Generation*).  The decorations a cell allows come from
 :data:`~diskflows.model.CELL_AUTOMATON`, three states per parent color
-whatever the cell's size.  The walk stops at the token that places the
-last edge: its value is forced, n minus the values before it, so only
-its decoration varies, and each decoration is followed by leaves of
-value 0, one segment per sibling block.  A segment's decorations are its
-completions, listed by :func:`~diskflows.model._completions` and kept by
-the walk's own memo per stream, by (node, length): at most 6(n+1) lists.
-So the walk holds O(n) positions and completions sized by n alone, never
-by the number of codes.  That one walk, :func:`_walk`, lists codes only
-and takes the factory that makes each token.  :func:`iter_flows` passes
-the interned :class:`~diskflows.codec.CodeToken` constructor and builds
-a :class:`~diskflows.codec.Code` per code.  :func:`iter_code_blocks`, the
-listing path of ``diskflows enum``, passes a cached text per token and
-yields one block of lines per walk prefix, so it builds no code object
-and no string per code; :func:`iter_code_texts` splits them.  The codes
-after a prefix depend only on its fold state, 263 of them at n = 7, so
-each state's lines are made once as a suffix text that every prefix
-sharing the state reuses, the generator's way of making each suffix once
-(Ruskey).  Those texts are kept for the stream, so its memory is sized
-by the fold states: not O(n), but never by the number of codes.
+whatever the cell's size.  The codes after a position depend only on its
+suffix state: the automaton node open there, the rest of its block, the
+blocks of later parents not yet begun and the edges left.  Each state
+has a closed-form count, the product formula's factors for its open
+blocks times F(m, r) = m/(r+m)·C(4r+3m−1, r) for its m pending vertices
+and r edges left.  The walk, :func:`_walk`, stops at the first state
+with at most :data:`FOLD_LINES` codes, so each small suffix is made once
+per stream and reused under every head that reaches it (Ruskey).
+:func:`iter_flows` builds a :class:`~diskflows.codec.Code` of interned
+tokens per code; :func:`iter_code_blocks`, the listing path of
+``diskflows enum``, yields one block of lines per folded state, with no
+code object and no string per code, and :func:`iter_code_texts` splits
+them.  The kept suffixes are sized by the folded states, never by the
+number of codes.
 """
 
 from __future__ import annotations
@@ -45,11 +40,11 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import product, zip_longest
+from functools import lru_cache, partial
+from itertools import zip_longest
 
 from .codec import Code, CodeToken, cached_token, join_token_texts
-from .model import BLACK, CELL_AUTOMATON, PlaneRootedTree, _completions, cell_config_count
+from .model import BLACK, CELL_AUTOMATON, RED, PlaneRootedTree, cell_config_count
 
 
 # ======================================================================
@@ -150,187 +145,189 @@ def flows_per_tree(tree: PlaneRootedTree) -> int:
     return math.prod(map(cell_config_count, tree.up_degrees))
 
 
-# The root cell has one fixed "decoration", in the format of the cell
-# automaton's nodes: no marks and the boundary direction.
-_ROOT_NODE = [[False, False, BLACK, []]]
+def _automaton_rows() -> tuple[tuple[tuple, ...], ...]:
+    """:data:`~diskflows.model.CELL_AUTOMATON` as rows of options
+    (overline, prime, start node of the child's color, next node), each
+    node named by its row: the black start node is row 0, the red one
+    row 1, and the last row is the root's one fixed decoration."""
+    nodes = [CELL_AUTOMATON[BLACK], CELL_AUTOMATON[RED]]
+    for x in nodes:  # the loop reaches what it appends
+        nodes.extend(nxt for *_, nxt in x if all(nxt is not y for y in nodes))
+    row = {id(x): k for k, x in enumerate(nodes)}
+    return (*(tuple((overline, prime, row[id(CELL_AUTOMATON[color])], row[id(nxt)])
+                    for overline, prime, color, nxt in x) for x in nodes),
+            ((False, False, 0, len(nodes)),))
+
+
+_OPTIONS = _automaton_rows()
+
+#: A walk state with at most this many codes under it is folded: its
+#: lines are made once per stream and reused under every head that
+#: reaches it.  It is below F(1, 4) = 612, so a state with four or more
+#: edges left is never folded.
+FOLD_LINES = 512
+
+
+def _forest_count(m: int, r: int) -> int:
+    """F(m, r) = m/(r+m) · C(4r+3m−1, r): the ways to give m pending
+    vertices their subtrees with r more edges, each vertex with k
+    children weighted (k+1)(k+2)/2, that is [x^r] Tᵐ for T = (1 − xT)^−3
+    (Lagrange inversion; Flajolet & Sedgewick, I.5).  F(1, n) is
+    :func:`count_flows`."""
+    return m * math.comb(4 * r + 3 * m - 1, r) // (r + m)
+
+
+def _state_lines(state, cap: float = math.inf) -> int:
+    """The codes under a walk state, or some number above ``cap`` once
+    the product passes it: A(node, rest+1) · ∏ A(start, v) · F(m, r).
+    A(x, j), the decorations of j children read from node x, is C(j+k−1,
+    j) for k options: (j+1)(j+2)/2 from start, j+1 from away, 1 from
+    back."""
+    node, rest, pending, r = state
+    lines = _forest_count(1 + rest + sum(v for _, v in pending), r)
+    for x, j in ((node, rest + 1), *pending):
+        if lines > cap:
+            break
+        lines *= math.comb(j + len(_OPTIONS[x]) - 1, j)
+    return lines
+
+
+def _choices(state, token: Callable[[int, bool, bool], object]):
+    """Each choice at a walk state's position in code order, as (value,
+    ``token(value, overline, prime)``, the state after it, None past the
+    last position).  A state ``(node, rest, pending, r)`` is the automaton
+    node open there, the siblings left in its block, the (start node,
+    value) of each later parent whose block has not begun, and the edges
+    left.  A block starts at the start node of its parent's color, each
+    later sibling at the node its left sibling led to.  The value ranges
+    over [0, r], from 1 at the last vertex so far while edges are left,
+    so every choice extends to a code."""
+    node, rest, pending, r = state
+    for value in range(0 if rest or pending or not r else 1, r + 1):
+        for overline, prime, start, nxt in _OPTIONS[node]:
+            later = pending + ((start, value),) if value else pending
+            if rest:
+                child = nxt, rest - 1, later, r - value
+            elif later:
+                child = later[0][0], later[0][1] - 1, later[1:], r - value
+            else:
+                child = None
+            yield value, token(value, overline, prime), child
 
 
 def _walk(
-    n: int, token: Callable[[int, bool, bool], object]
-) -> Iterator[tuple[list, list, list[tuple]]]:
+    n: int, token: Callable[[int, bool, bool], object], fold: int = FOLD_LINES
+) -> Iterator[tuple[list, list, tuple | None]]:
     """The one token walk behind :func:`iter_flows` and
     :func:`iter_code_blocks`; it lists codes only, never bare trees.
 
-    Yields ``(values, head, folds)`` once per prefix before the token
-    that places the last edge.  ``values`` holds the values of the
-    prefix and of that token, ``head`` what ``token(value, overline,
-    prime)`` made of the prefix's tokens, and ``folds`` pairs each
-    decoration of that token, as ``token`` made it, with its leaf
-    segments: lists of completions.  Each code with that prefix is
-    ``head``, one folded token and one completion from each of its
-    segments, in sorted order.
-
-    Codes compare token by token as (value, overline, prime), so position
-    i runs through its values in ascending order and, for each value,
-    through the decorations its parent cell still allows: the first child
-    of a block starts at the cell automaton's start node for the parent's
-    color, each later child at the node its left sibling led to.  The
-    parent and its block size are already fixed, since parents come first
-    in level order.  Every prefix extends to a code: value i < n ranges
-    over [max(0, i+1-placed), n-placed], the last value is 0, and every
-    automaton node has an option and accepts, so a block may end after
-    any child.  So the walk meets no dead ends.
-
-    The walk stops at the token that places the last edge: its value is
-    forced, n minus the values before it, and every later value is 0, so
-    only decorations change from there on.  Least tokens reach it at
-    position n - 1; otherwise it is the position just advanced, whose
-    value grew to its largest.  So the position to advance next is always
-    the one before it.  The leaves after it form one segment per sibling
-    block: the rest of its block, from the node its decoration leads to,
-    then the whole blocks of the later parents, its own block last.  A
-    segment's decorations are its :func:`~diskflows.model._completions`,
-    which only ``segment`` asks for and keeps, by (node, length): at most
-    6(n+1) lists per stream.  The automaton's nodes live for good, so
-    their ids stay put.  The folds of a prefix depend only on its last
-    position's node, the rest of its block and its value, and on the
-    segments the later parents' blocks share, so they are kept by those:
-    one list per fold state, whose identity names the state.  There are
-    263 states at n = 7, 541 at n = 8 and 1,088 at n = 9.
+    Yields ``(values, head, state)`` once per folded state, the first on
+    its path with at most ``fold`` codes under it by :func:`_state_lines`:
+    1,755 at n = 7, 13,652 at n = 8 and 109,085 at n = 9.  ``head`` holds
+    what ``token(value, overline, prime)`` made of the tokens before the
+    state's position, ``values`` their values; the codes with that head
+    are the head before each line of the state.  Codes compare token by
+    token, so the walk runs depth first through each state's
+    :func:`_choices`, from an explicit stack of their iterators, one per
+    position of the head: no call recurses.  A folded state has at most
+    three edges left, so its values are below 10 and its head alone
+    decides the separator.
     """
     if n < 0:
         raise ValueError("separatrix count is non-negative")
-    values = [0] * (n + 1)
-    placed = [0] * (n + 2)  # placed[i]: sum of the values before position i
-    parents = [0] * (n + 1)
-    nodes = [_ROOT_NODE] * (n + 1)  # decorations open at each position
-    picks = [0] * (n + 1)  # index of the chosen decoration in nodes[i]
-    automaton = CELL_AUTOMATON  # a local name, read at every block start
-    tokens = [None] * (n + 1)
-    memo: dict = {}  # the completions of a segment, by (id(node), length)
-    made: dict = {}  # the folds of a state, by (node, rest, value, *shared)
-
-    def segment(node, length):
-        key = id(node), length  # a list is never empty, so never falsy
-        return memo.get(key) or memo.setdefault(key, _completions(node, length, token))
-
-    values[0] = placed[1] = min(n, 1)  # the root's least value
-    i = 0
+    state = len(_OPTIONS) - 1, 0, (), n  # the root, one fixed decoration
+    values, head, stack = [], [], []
     while True:
-        # Position i holds its value and pick; until it places the last
-        # edge, make its token and give the next position its least token.
-        while values[i] < n - placed[i]:
-            overline, prime = nodes[i][picks[i]][:2]
-            tokens[i] = token(values[i], overline, prime)
-            i += 1
-            p = parents[i - 1]
-            while placed[p] + values[p] < i:
-                p += 1
-            parents[i] = p
-            if i == placed[p] + 1:
-                nodes[i] = automaton[nodes[p][picks[p]][2]]
-            else:
-                nodes[i] = nodes[i - 1][picks[i - 1]][3]
-            values[i] = max(0, i + 1 - placed[i])
-            placed[i + 1] = placed[i] + values[i]
-            picks[i] = 0
-        # Fold position i: the rest of its block, the later parents'
-        # blocks, then its own block of values[i] leaves.
-        value = values[i]
-        p = parents[i]
-        rest = placed[p + 1] - i if i else 0
-        shared = [
-            segment(automaton[nodes[q][picks[q]][2]], values[q])
-            for q in range(p + 1, i) if values[q]
-        ]
-        key = id(nodes[i]), rest, value, *map(id, shared)
-        folds = made.get(key)
-        if folds is None:
-            folds = made[key] = [
-                (token(value, overline, prime),
-                 [*([segment(nxt, rest)] if rest else []), *shared,
-                  segment(automaton[color], value)])
-                for overline, prime, color, nxt in nodes[i]
-            ]
-        yield values[:i + 1], tokens[:i], folds
-        if not i:
-            return
-        # Advance the prefix's last position: a later decoration, or else
-        # the next value, which may make it place the last edge.
-        i -= 1
-        if picks[i] + 1 < len(nodes[i]):
-            picks[i] += 1
+        if state is None or state[3] <= 3 and _state_lines(state, fold) <= fold:
+            yield values[:], head[:], state
+            step = None
+            while stack and (step := next(stack[-1], None)) is None:
+                stack.pop()
+                values.pop()
+                head.pop()
+            if step is None:
+                return
+            values[-1], head[-1], state = step
         else:
-            values[i] += 1
-            placed[i + 1] += 1
-            picks[i] = 0
+            stack.append(_choices(state, token))
+            value, tok, state = next(stack[-1])
+            values.append(value)
+            head.append(tok)
+
+
+def _fill(memo: dict, state: tuple, token: Callable, join: Callable) -> object:
+    """``memo[state]``, made if missing with every state under it that
+    ``memo`` lacks, children first, from an explicit stack: ``join`` of
+    the state's choices as (token, child's entry) pairs, the entry None
+    past the last position."""
+    stack = [(state, None)]
+    while stack:
+        top, parts = stack.pop()
+        if top in memo:
+            continue
+        if parts is None:  # read its choices, then make its children first
+            parts = [(tok, child) for _, tok, child in _choices(top, token)]
+            stack.append((top, parts))
+            stack += [(c, None) for _, c in parts if c is not None and c not in memo]
+        else:
+            memo[top] = join([(tok, child and memo[child]) for tok, child in parts])
+    return memo[state]
+
+
+#: :func:`iter_flows` keeps the token tuples of the states with at most
+#: this many codes, and walks with it as its fold.
+_TUPLE_LINES = 16
 
 
 def iter_flows(n: int) -> Iterator[Code]:
     """All realizable codes with n separatrices in sorted order, one at a
-    time, with state sized by n alone.
+    time, with state sized by n and the folded states alone.
 
-    Each code the token walk reaches is built as a :class:`Code` of
-    interned tokens.  :func:`iter_code_blocks` runs the same walk and
-    yields the codes' texts instead, a block per walk prefix.
+    Each code is built as a :class:`Code` of interned tokens: a head of
+    the walk and one token tuple of its folded state, each state's
+    tuples made once per stream.
     """
-    for _, head, folds in _walk(n, cached_token):
-        for folded, segments in folds:
-            base = (*head, folded)
-            for combo in product(*segments):
-                yield Code(sum(combo, base))
+    memo: dict = {}
+
+    def join(parts):
+        return [(tok, *tail) for tok, tails in parts for tail in tails or [()]]
+
+    for _, head, state in _walk(n, cached_token, _TUPLE_LINES):
+        base = tuple(head)
+        for tail in _fill(memo, state, cached_token, join):
+            yield Code(base + tail)
 
 
 def _token_text(value: int, overline: bool, prime: bool) -> str:
     return CodeToken(value, overline, prime).text()
 
 
-def _segment_texts(texts: dict, segment: list[tuple], sep: str) -> list[str]:
-    """``segment``'s completions joined with ``sep``, kept in ``texts``
-    by the list's id; the walk keeps its segments for the whole stream."""
-    texts[id(segment)] = joined = list(map(sep.join, segment))
-    return joined
-
-
-def _suffix_text(texts: dict, folds: list[tuple], sep: str) -> str:
-    """The lines of every code under one fold state with the head left
-    out, joined by newlines: each folded token with one joined completion
-    per segment, in :func:`iter_flows`' order."""
-    lines = []
-    for folded, segments in folds:
-        *lists, last = [texts.get(id(s)) or _segment_texts(texts, s, sep) for s in segments]
-        for combo in product(*lists):
-            start = sep.join((folded, *combo, ""))
-            lines.append(start + ("\n" + start).join(last))
-    return "\n".join(lines)
+def _suffix_text(sep: str, parts: list[tuple]) -> str:
+    """A state's lines, each choice's token with every line of its child
+    after it, joined by newlines."""
+    return "\n".join(
+        tok if text is None else tok + sep + text.replace("\n", "\n" + tok + sep)
+        for tok, text in parts
+    )
 
 
 def iter_code_blocks(n: int) -> Iterator[str]:
     """The texts of :func:`iter_flows`' codes in order, one block of
-    lines per walk prefix, with no trailing newline.
+    lines per folded state of the walk, with no trailing newline.
 
-    No :class:`Code` is built.  Each token's text is made once per stream,
-    each completion list joined once per stream and separator, which a
-    prefix's values decide.  The codes after a prefix depend only on its
-    fold state, which the identity of the walk's ``folds`` names, so each
-    state's lines are made once per stream and separator as one suffix
-    text; a prefix's block is that text with the prefix's head in front
-    of every line.  The kept texts are sized by the fold states, not by
-    the codes: 263 states and 134 KB of text at n = 7, 0.5 MB at n = 8
-    and 1.8 MB at n = 9, about 3.7 times more per n while the codes grow
-    about 8 times.
+    No :class:`Code` is built.  Each token's text is made once per
+    stream, and each state's lines once per stream and separator (the
+    head decides it) as one suffix text, kept by the state and put after
+    every head that reaches it.  The kept texts are sized by the states
+    of at most :data:`FOLD_LINES` codes, never by the codes: 326 KB at
+    n = 7, 0.7 MB at n = 8 and 1.6 MB at n = 9.
     """
-    joined = {"": {}, " ": {}}  # per separator, by the completion list's id
-    # Per separator, by the id of ``folds``: the list, kept so that its id
-    # is never reused for another state, and its suffix text.
-    suffixes = {"": {}, " ": {}}
-    for values, head, folds in _walk(n, lru_cache(maxsize=None)(_token_text)):
-        sep = "" if n <= 9 or max(values) <= 9 else " "
-        memo = suffixes[sep]
-        kept = memo.get(id(folds))
-        if kept is None:
-            kept = memo[id(folds)] = folds, _suffix_text(joined[sep], folds, sep)
-        text = kept[1]
+    token = lru_cache(maxsize=None)(_token_text)
+    texts = {sep: ({}, partial(_suffix_text, sep)) for sep in ("", " ")}
+    for values, head, state in _walk(n, token):
+        sep = "" if n <= 9 or max(values, default=0) <= 9 else " "
+        memo, join = texts[sep]
+        text = _fill(memo, state, token, join)
         if head:
             head = sep.join(head) + sep
             yield head + text.replace("\n", "\n" + head)

@@ -37,10 +37,9 @@ each starts after its owner, with the same message, and skips the second
 check.  A decoded graph is built the same way (see
 ``codec.code_to_graph``).
 
-The choices a cell allows are stated once, as :data:`CELL_AUTOMATON`,
-and read through :func:`_completions`, which lists the decorations of
-one length and keeps nothing.  The callers that reuse what it lists
-cache it: the enumeration walk keeps the lists per stream, and
+The choices a cell allows are stated once, as :data:`CELL_AUTOMATON`.
+The enumeration walk reads it option by option; :func:`_completions`
+lists the decorations of one length and keeps nothing, and
 :func:`enumerate_cell_configs` keeps what it tags per cell size and
 direction.
 """

@@ -31,7 +31,7 @@ from diskflows.cli import (
     main,
 )
 from diskflows.codec import Code, CodeToken, serialize_code
-from diskflows.enumeration import codes_to_text, enumerate_flows
+from diskflows.enumeration import codes_to_text, enumerate_flows, iter_flows
 from diskflows.model import BLACK, RED, enumerate_cell_configs
 
 
@@ -329,8 +329,8 @@ def test_enum_count_only_bounds_the_digits(capsys):
 
 
 def test_enum_streams_to_stdout_across_chunks(capsys, monkeypatch):
-    # n = 5 has 369 blocks of code texts, one per walk prefix: several
-    # full chunks and a partial last one.
+    # n = 5 has 35 blocks of code texts, one per folded walk state:
+    # several full chunks and a partial last one.
     writes = []
 
     def recording(blocks):
@@ -342,7 +342,7 @@ def test_enum_streams_to_stdout_across_chunks(capsys, monkeypatch):
     assert rc == 0
     assert out == codes_to_text(enumerate_flows(5))
     assert len(out.splitlines()) == 4389
-    full, last = divmod(369, ENUM_CHUNK)
+    full, last = divmod(35, ENUM_CHUNK)
     assert full > 1 and last
     assert writes == [ENUM_CHUNK] * full + [last]
 
@@ -373,17 +373,20 @@ def test_enum_lists_up_to_nine_loops_unless_the_cap_is_raised(tmp_path, capsys, 
     assert err == "error: n=10 exceeds the cap 9; raise it with --cap\n"
     assert not target.exists()
     # n = 10 lists 133,767,543 codes; the first block of the stream, the
-    # nine codes of its first prefix, shows that --cap 10 lets the listing
-    # start.
+    # 273 codes of its first folded state, shows that --cap 10 lets the
+    # listing start.
     blocks = cli.iter_code_blocks
     monkeypatch.setattr(cli, "iter_code_blocks", lambda n: itertools.islice(blocks(n), 1))
     rc, out, _ = run(capsys, "enum", "--n", "10", "--cap", "10")
     assert rc == 0
-    assert out.splitlines() == [
+    lines = out.splitlines()
+    assert lines[:9] == [
         "11111111110", "11111111110~", "11111111110~'",
         "1111111111~0", "1111111111~0'", "1111111111~0~",
         "1111111111~'0", "1111111111~'0'", "1111111111~'0~",
     ]
+    assert lines == [serialize_code(c) for c in itertools.islice(iter_flows(10), 273)]
+    assert all(line.startswith("1" * 7) for line in lines)
 
 
 @pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])

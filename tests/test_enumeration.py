@@ -4,14 +4,18 @@ from __future__ import annotations
 
 import hashlib
 import math
+import random
+import time
 import tracemalloc
+from bisect import bisect_left, bisect_right
 from collections import deque
+from functools import partial
 from itertools import groupby, islice, product
 
 import pytest
 
 from diskflows.cli import main
-from diskflows import enumeration
+from diskflows import enumeration, model
 from diskflows.codec import (
     Code,
     CodeToken,
@@ -287,37 +291,51 @@ def test_code_blocks_join_to_the_enum_text(n):
     assert "\n".join(iter_code_blocks(n)) + "\n" == codes_to_text(enumerate_flows(n))
 
 
-def _last_edge_prefix(code: Code) -> tuple:
-    """The tokens before the one that places the last edge, the last
-    token with a nonzero value."""
-    last = max((i for i, t in enumerate(code.tokens) if t.value), default=0)
-    return code.tokens[:last]
+def _fold_heads(codes: list[tuple], fold: int) -> list[tuple]:
+    """Each code's head, from the sorted codes alone: its shortest prefix
+    that at most ``fold`` codes share, so the prefix one token shorter
+    is shared by more."""
+    heads = [None] * len(codes)
+    for k in range(len(codes[0]) + 1):
+        at = 0
+        for prefix, run in groupby(codes, key=lambda c: c[:k]):
+            size = sum(1 for _ in run)
+            if size <= fold:
+                heads[at:at + size] = [prefix if h is None else h for h in heads[at:at + size]]
+            at += size
+    return heads
 
 
 @pytest.mark.parametrize("n", range(7))
 def test_code_blocks_are_the_codes_of_one_walk_prefix_each(n):
-    groups = groupby(iter_flows(n), key=_last_edge_prefix)
+    # Each block is all the codes that share its head, at most FOLD_LINES
+    # of them, while more share the head one token shorter.
+    codes = [code.tokens for code in enumerate_flows(n)]
+    heads = _fold_heads(codes, enumeration.FOLD_LINES)
+    groups = groupby(zip(heads, codes), key=lambda pair: pair[0])
     assert list(iter_code_blocks(n)) == [
-        "\n".join(map(serialize_code, codes)) for _, codes in groups
+        "\n".join(serialize_code(Code(code)) for _, code in group) for _, group in groups
     ]
+    walked = [tuple(head) for _, head, _ in enumeration._walk(n, CodeToken)]
+    assert walked == [head for head, _ in groupby(heads)]
 
 
 @pytest.mark.parametrize("n", range(9))
 def test_code_blocks_hold_one_block_of_leaves_each(n):
-    # One block per prefix the walk yields: every decoration of the
-    # last-edge token with the completions of its leaves.  The largest
-    # block, pinned, has 216 lines at n = 7 and 360 at n = 8.
-    largest = (1, 3, 9, 18, 36, 60, 108, 216, 360)[n]
+    # One block per folded state: up to n = 3 the whole stream, then at
+    # most FOLD_LINES lines.  The largest block, pinned, has 504 lines at
+    # n = 7 and n = 8.
+    largest = (1, 3, 15, 91, 273, 351, 432, 504, 504)[n]
     lines = [block.count("\n") + 1 for block in iter_code_blocks(n)]
     assert len(lines) == sum(1 for _ in enumeration._walk(n, CodeToken))
     assert sum(lines) == count_flows(n)
-    assert max(lines) == largest
+    assert max(lines) == largest <= enumeration.FOLD_LINES
 
 
 def test_draining_code_blocks_peaks_small():
     tracemalloc.start()
     try:
-        assert sum(1 for _ in iter_code_blocks(7)) == 19_460
+        assert sum(1 for _ in iter_code_blocks(7)) == 1_755
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -325,63 +343,94 @@ def test_draining_code_blocks_peaks_small():
 
 
 def test_each_fold_state_is_written_once_per_stream(monkeypatch):
-    built = []
-    suffix_text = enumeration._suffix_text
+    # Every state whose lines a block needs, folded or below a folded
+    # one, is written once per stream: 455 states at n = 7, 231 of them
+    # folded, and 805 at n = 8, 537 folded.
+    built, memos = [], {}
+    suffix_text, fill = enumeration._suffix_text, enumeration._fill
 
-    def recording(texts, folds, sep):
-        built.append((id(folds), sep))
-        return suffix_text(texts, folds, sep)
+    def recording_text(sep, parts):
+        built.append(sep)
+        return suffix_text(sep, parts)
 
-    monkeypatch.setattr(enumeration, "_suffix_text", recording)
-    for n, states in ((7, 263), (8, 541)):
+    def recording_fill(memo, state, token, join):
+        memos[id(memo)] = memo
+        return fill(memo, state, token, join)
+
+    monkeypatch.setattr(enumeration, "_suffix_text", recording_text)
+    monkeypatch.setattr(enumeration, "_fill", recording_fill)
+    for n, states, folded in ((7, 455, 231), (8, 805, 537)):
         built.clear()
+        memos.clear()
         assert sum(block.count("\n") + 1 for block in iter_code_blocks(n)) == count_flows(n)
-        assert len(built) == len(set(built)) == states
+        kept = [state for memo in memos.values() for state in memo]
+        assert len(built) == len(kept) == len(set(kept)) == states
+        folds = {state for *_, state in enumeration._walk(n, CodeToken)}
+        assert len(folds) == folded and folds <= set(kept)
 
 
 def test_draining_code_blocks_of_eight_loops_peaks_small():
-    # The suffix texts kept at n = 8 hold about 0.5 MB; the stream's text
+    # The suffix texts kept at n = 8 hold about 0.7 MB; the stream's text
     # is 21 MB.
     tracemalloc.start()
     try:
-        assert sum(1 for _ in iter_code_blocks(8)) == 149_496
+        assert sum(1 for _ in iter_code_blocks(8)) == 13_652
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20
 
 
-def _one_prefix_walk(codes, folds=None):
-    """A stand-in for the walk that yields each code as one prefix: the
-    values up to the token that places the last edge, the tokens before
-    it, and that token with the rest of the code as its one segment.
-    The fold list is ``folds`` when given, else a fresh list per code."""
-    def walk(n, token):
-        for code in codes:
-            made = [token(t.value, t.overline, t.prime) for t in code.tokens]
-            values = [t.value for t in code.tokens]
-            last = max((i for i, value in enumerate(values) if value), default=0)
-            yield (values[:last + 1], made[:last],
-                   folds or [(made[last], [[tuple(made[last + 1:])]])])
+def _state_at(code: Code, i: int) -> tuple:
+    """The walk state at position i of ``code``, stepped from the root
+    through the choices of its first i tokens."""
+    state = len(enumeration._OPTIONS) - 1, 0, (), code.n
+    for t in code.tokens[:i]:
+        state = next(child for _, key, child in enumeration._choices(state, lambda *key: key)
+                     if key == (t.value, t.overline, t.prime))
+    return state
+
+
+def _folding_walk(folds):
+    """A stand-in for the walk that folds each ``(code, i)`` of
+    ``folds`` at position i: the values and tokens of the code's first i
+    tokens, and the state there."""
+    def walk(n, token, fold=None):
+        for code, i in folds:
+            head = code.tokens[:i]
+            yield ([t.value for t in head], [token(t.value, t.overline, t.prime) for t in head],
+                   _state_at(code, i))
     return walk
 
 
 def test_suffix_texts_are_kept_per_separator(monkeypatch):
-    # One fold list, the token 1 and ten leaves, after a compact head and
-    # after a spaced one: the same state gives both texts.
-    compact, spaced = "29" + "1" + "0" * 10, "10 1 1" + " 0" * 10
-    folds = [("1", [[("0",) * 10]])]
-    codes = [parse_code(text) for text in (compact, spaced, compact)]
-    monkeypatch.setattr(enumeration, "_walk", _one_prefix_walk(codes, folds))
-    assert list(iter_code_texts(12)) == [compact, spaced, compact]
+    # One state, the root's one child at the start node with one edge
+    # left, after a compact head and after a spaced one whose nine
+    # overlined leaves keep the start node: the same state gives both
+    # texts.
+    spaced_head = parse_code("10" + " 0~" * 9 + " 1 0").tokens[:10]
+    compact = enumerate_flows(2)[:9]
+    assert {_state_at(code, 1) for code in compact} == {_state_at(parse_code("110"), 1)}
+    spaced = [Code(spaced_head + code.tokens[1:]) for code in compact]
+    assert _state_at(spaced[0], 10) == _state_at(compact[0], 1)
+    monkeypatch.setattr(enumeration, "_walk", _folding_walk(
+        [(compact[0], 1), (spaced[0], 10), (compact[0], 1)]))
+    lines = list(map(serialize_code, compact))
+    assert list(iter_code_texts(11)) == lines + list(map(serialize_code, spaced)) + lines
+    assert all(" " in line for line in map(serialize_code, spaced))
 
 
-def test_suffix_texts_of_fresh_fold_lists_stay_apart(monkeypatch):
-    # A fresh fold list per prefix, each dropped by the walk once yielded:
-    # a list freed while its text is kept could leave its id to the next.
-    codes = list(iter_flows(5))
-    monkeypatch.setattr(enumeration, "_walk", _one_prefix_walk(codes))
-    assert list(iter_code_texts(5)) == [serialize_code(c) for c in codes]
+def test_suffix_texts_are_kept_by_state_in_any_order(monkeypatch):
+    # Folds at seeded positions of seeded codes, out of the walk's order:
+    # states reached under many heads, built children first or after
+    # their parents.  Each block is all the codes that share its head.
+    codes = enumerate_flows(5)
+    rng = random.Random(5)
+    folds = [(rng.choice(codes), rng.randrange(6)) for _ in range(200)]
+    monkeypatch.setattr(enumeration, "_walk", _folding_walk(folds))
+    expected = [serialize_code(c) for code, i in folds
+                for c in codes if c.tokens[:i] == code.tokens[:i]]
+    assert list(iter_code_texts(5)) == expected
 
 
 @pytest.mark.parametrize("n", range(8))
@@ -392,7 +441,7 @@ def test_code_texts_are_the_serialized_code_stream(n):
 def test_code_texts_take_the_spaced_form_from_ten_loops_on(monkeypatch):
     # The walk reaches a value of 10 only after about 1.3e8 codes at
     # n = 10, so the joining helper is checked on its own, and the text
-    # stream on a walk that yields such a prefix at once.
+    # stream on walks that fold such heads at once.
     spaced = ("10 0 0 0 0 0 0 0 0 0 0", "10 1~ 0~ 0~' 0~ 0~ 0~ 0~ 0~ 0~ 0~ 0")
     for text in spaced:
         code = parse_code(text)
@@ -404,14 +453,27 @@ def test_code_texts_take_the_spaced_form_from_ten_loops_on(monkeypatch):
     assert texts == [serialize_code(c) for c in islice(iter_flows(10), count)]
     assert texts[0] == "1" * 10 + "0"
 
+    # A folded state has at most three edges left, so its values stay
+    # below 10 and the head alone decides the separator: the fold after
+    # "10 1~ 0~ 0~'" has the three decorations of the last leaf, of a red
+    # parent, and the first fold of n = 10 is compact.
     codes = [parse_code(spaced[1]), parse_code("1" * 10 + "0")]
-    monkeypatch.setattr(enumeration, "_walk", _one_prefix_walk(codes))
+    first = [serialize_code(c) for c in islice(iter_flows(10), 9)]
+    monkeypatch.setattr(enumeration, "_walk", _folding_walk([(codes[0], 4), (codes[1], 9)]))
     texts = list(iter_code_texts(10))
-    assert texts == [serialize_code(c) for c in codes] == [spaced[1], "1" * 10 + "0"]
-    # The folded token alone has a value of 10 or more: the root of
-    # "10 0 0 0 0 0 0 0 0 0 0", after an empty head.
-    monkeypatch.setattr(enumeration, "_walk", _one_prefix_walk([parse_code(spaced[0])]))
-    assert list(iter_code_texts(10)) == [spaced[0]]
+    assert texts == [spaced[1], spaced[1] + "'", spaced[1] + "~"] + first
+    assert all(check_realizable(parse_code(text)).realizable for text in texts)
+    # A head that is the root of value 10 alone: its 66 decorations,
+    # spaced, from the cell's configurations.
+    monkeypatch.setattr(enumeration, "_walk", _folding_walk([(parse_code(spaced[0]), 1)]))
+    decorated = sorted(
+        Code((CodeToken(10),) + tuple(CodeToken(0, c == RED, p) for c, p in zip(
+            dec.child_colors, dec.child_primes)))
+        for dec in enumerate_cell_configs(10, BLACK)
+    )
+    texts = list(iter_code_texts(10))
+    assert texts == list(map(serialize_code, decorated))
+    assert texts[0] == spaced[0] and len(texts) == 66
 
 
 def test_token_texts_are_made_once_per_stream_from_walk_tokens(monkeypatch):
@@ -442,7 +504,7 @@ def test_leaf_completions_count_by_automaton_node(color):
     (away,) = [nxt for *_, nxt in start if len(nxt) == 2]
     for j in range(9):
         for node, count in ((start, (j + 1) * (j + 2) // 2), (away, j + 1), (back, 1)):
-            tails = enumeration._completions(node, j, CodeToken)
+            tails = model._completions(node, j, CodeToken)
             assert len(tails) == len(set(tails)) == count
             assert tails == sorted(tails)
             assert all(len(t) == j and all(tok.value == 0 for tok in t) for t in tails)
@@ -472,22 +534,28 @@ def test_completions_list_the_accepted_mark_sequences_in_order():
         nodes += len(reach)
         for node in reach:
             for length in range(11):
-                listed = enumeration._completions(node, length, lambda _, o, p: (o, p))
+                listed = model._completions(node, length, lambda _, o, p: (o, p))
                 assert listed == accepted(node, marks, length)
     assert nodes == 6
 
 
-def test_the_walk_lists_each_completion_once_per_stream(monkeypatch):
-    calls = []
-    completions = enumeration._completions
+def test_the_walk_reads_each_kept_state_once_per_stream(monkeypatch):
+    # The text builder reads the choices of each state it keeps once per
+    # stream, 805 states at n = 8; the walk reads those of the 1,726
+    # positions above its folds, 283 distinct states.
+    read = []
+    choices = enumeration._choices
 
-    def recording(node, length, token):
-        calls.append((id(node), length))
-        return completions(node, length, token)
+    def recording(state, token):
+        read.append(state)
+        return choices(state, token)
 
-    monkeypatch.setattr(enumeration, "_completions", recording)
+    monkeypatch.setattr(enumeration, "_choices", recording)
     assert sum(1 for _ in iter_code_texts(8)) == count_flows(8)
-    assert len(set(calls)) == len(calls) <= 6 * 9
+    kept = [s for s in read if enumeration._state_lines(s) <= enumeration.FOLD_LINES]
+    above = [s for s in read if enumeration._state_lines(s) > enumeration.FOLD_LINES]
+    assert len(set(kept)) == len(kept) == 805
+    assert (len(above), len(set(above))) == (1_726, 283)
 
 
 def test_cell_configs_of_sixty_loops_peak_small():
@@ -504,31 +572,30 @@ def test_cell_configs_of_sixty_loops_peak_small():
     assert peak < 12 * 2**20
 
 
-def test_walk_yields_per_last_edge_prefix_and_joins_each_list_once(monkeypatch):
-    # The walk yields once per prefix before the token that places the
-    # last edge, the last position with a nonzero value.
-    def prefix(code):
-        last = max(i for i, t in enumerate(code.tokens) if t.value)
-        return code.tokens[:last]
+def test_walk_yields_per_folded_state_and_joins_each_state_once(monkeypatch):
+    # The walk yields once per head, the shortest prefix of each code
+    # that at most FOLD_LINES codes share, found from the codes alone.
+    codes = [code.tokens for code in iter_flows(7)]
+    heads = {head for head, _ in groupby(_fold_heads(codes, enumeration.FOLD_LINES))}
+    assert sum(1 for _ in enumeration._walk(7, CodeToken)) == len(heads) == 1_755
 
-    prefixes = {prefix(code) for code in iter_flows(7)}
-    assert sum(1 for _ in enumeration._walk(7, CodeToken)) == len(prefixes) == 19_460
-
-    # Each completion list is joined to text once per stream, and the
-    # joined lists are as many as the completion lists, at most 6(n+1).
+    # Each state's lines are joined to text once per stream, all with
+    # the compact separator, into one memo.
     made = []
-    segment_texts = enumeration._segment_texts
+    fill, suffix_text = enumeration._fill, enumeration._suffix_text
 
-    def recording(texts, segment, sep):
-        made.append((texts, id(segment), sep))
-        return segment_texts(texts, segment, sep)
+    def recording_fill(memo, state, token, join):
+        made.append(memo)
+        return fill(memo, state, token, join)
 
-    monkeypatch.setattr(enumeration, "_segment_texts", recording)
+    monkeypatch.setattr(enumeration, "_fill", recording_fill)
+    monkeypatch.setattr(enumeration, "_suffix_text", lambda sep, parts: (
+        made.append(sep) or suffix_text(sep, parts)))
     assert sum(1 for _ in iter_code_texts(8)) == count_flows(8)
-    assert len({(key, sep) for _, key, sep in made}) == len(made)
-    assert {sep for *_, sep in made} == {""}
-    assert len({id(texts) for texts, *_ in made}) == 1
-    assert len(made[0][0]) == len(made) <= 6 * 9
+    seps = [x for x in made if isinstance(x, str)]
+    memos = {id(x): x for x in made if isinstance(x, dict)}
+    assert set(seps) == {""} and len(memos) == 1
+    assert len(seps) == len(next(iter(memos.values()))) == 805
 
     # Nothing is kept per code: draining a stream peaks far below the
     # size of its text (3.6 MB at n = 7).
@@ -539,6 +606,85 @@ def test_walk_yields_per_last_edge_prefix_and_joins_each_list_once(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_state_counts_are_the_lines_under_each_folded_state(n):
+    # At every cutoff, each state the walk folds has as many codes as its
+    # closed-form count: that many consecutive codes share its head, and
+    # no more; more than the cutoff share the head one token shorter; and
+    # its suffix text has that many lines.
+    codes = [code.tokens for code in enumerate_flows(n)]
+    texts = {}
+    join = partial(enumeration._suffix_text, "")
+    for cutoff in (1, 3, 15, 91, 512):
+        at = 0
+        for _, head, state in enumeration._walk(n, CodeToken, cutoff):
+            lines, k = 1 if state is None else enumeration._state_lines(state), len(head)
+            assert lines <= cutoff
+            head = tuple(head)
+            block = codes[at:at + lines]
+            assert block[0][:k] == block[-1][:k] == head
+            assert at + lines == len(codes) or codes[at + lines][:k] != head
+            if k:
+                parent = [bisect(codes, head[:-1], key=lambda c: c[:k - 1])
+                          for bisect in (bisect_left, bisect_right)]
+                assert parent[1] - parent[0] > cutoff
+            if state is not None:
+                text = enumeration._fill(texts, state, enumeration._token_text, join)
+                assert text.count("\n") + 1 == lines
+            at += lines
+        assert at == len(codes)
+
+
+def test_forest_count_on_one_vertex_is_count_flows():
+    for n in range(61):
+        assert enumeration._forest_count(1, n) == count_flows(n)
+    # Four edges left are always more than a fold holds.
+    assert enumeration._forest_count(1, 4) == 612 > enumeration.FOLD_LINES
+
+
+def test_forest_count_matches_power_series_iteration():
+    # T = (1 - xT)^-3 = sum over k of (k+1)(k+2)/2 x^k T^k, iterated on
+    # series truncated after x^12; F(m, r) is [x^r] T^m.
+    top = 12
+
+    def times(a, b):
+        out = [0] * (top + 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b[:top + 1 - i]):
+                out[i + j] += x * y
+        return out
+
+    t = [1] + [0] * top
+    for _ in range(top + 1):
+        new, power = [0] * (top + 1), [1] + [0] * top  # power: (xT)^k
+        for k in range(top + 1):
+            new = [a + (k + 1) * (k + 2) // 2 * b for a, b in zip(new, power)]
+            power = [0] + times(power, t)[:top]
+        t = new
+    power = [1] + [0] * top
+    for m in range(1, 6):
+        power = times(power, t)
+        assert power == [enumeration._forest_count(m, r) for r in range(top + 1)]
+
+
+def test_large_streams_start_quickly_without_recursion():
+    # The first fold of n = 1000 lies 997 positions deep; each stream's
+    # first code ends within a second.
+    for stream, first in ((iter_code_texts, str), (iter_flows, serialize_code)):
+        started = time.perf_counter()
+        assert first(next(stream(1000))) == "1" * 1000 + "0"
+        assert time.perf_counter() - started < 1
+    # A state with 1,000 positions left and one code under it: the root's
+    # children after a primed one are all overlined, from the back node.
+    (back,) = [k for k, row in enumerate(enumeration._OPTIONS[:-1]) if len(row) == 1
+               and row[0][0]]
+    state = back, 999, (), 0
+    assert enumeration._state_lines(state) == 1
+    text = enumeration._fill({}, state, enumeration._token_text,
+                             partial(enumeration._suffix_text, ""))
+    assert text == "0~" * 1000
 
 
 # ---------------------------------------------------------------------------

@@ -137,3 +137,22 @@ def test_reproduce_refuses_a_listing_bound_past_the_enum_cap(flag, n, tmp_path):
     assert f"{flag} {n} exceeds the cap 9" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not out.exists()
+
+
+def test_reproduce_ends_quietly_when_the_reader_leaves(tmp_path):
+    # The reader is gone before the script prints its first line, as in
+    # ``reproduce_counts.py ... | true``: status 1 and nothing on stderr,
+    # no traceback and no message about an ignored exception at exit.
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, str(REPRODUCE), "--out", str(tmp_path / "rc"), "--max-n", "3",
+             "--list-max-n", "1", "--oracle-max-n", "1"],
+            stdout=write, stderr=subprocess.PIPE, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
